@@ -3,11 +3,13 @@
 
 Cython twin of ``_kernel_py``: the same operations in the same order, so the
 two backends return bit-identical floats (the build disables FP contraction
-for this reason). Absence of this extension is fine; the package falls back
-to the pure-Python module at import time.
+for this reason). It holds the Lambert solve and the schedule; the inverse
+of the value map is one closed form on top of them, in
+``schedule.z_of_value``. Absence of this extension is fine; the package
+falls back to the pure-Python module at import time.
 """
 
-from libc.math cimport exp, fabs, log, log2, pow, sqrt
+from libc.math cimport INFINITY, exp, fabs, isfinite, log, log1p, pow, sqrt
 
 from .numerics import ConvergenceError
 
@@ -63,11 +65,14 @@ def min_power(double t, double z, double d):
 cdef int _schedule(double z, double d, double lam, double p_max,
                    double abs_tol, double rel_tol, int max_iter,
                    double *t_out, double *p_out, double *c_out) except -1:
-    cdef double w, t_unc, t_min, t, p
+    cdef double w, t_unc, cap_rate, t_min, t, p, c
     cdef bint active
     w = _lambert((lam / z - 1.0) * _INV_E, abs_tol, rel_tol, max_iter)
-    t_unc = d * _LN2 / (w + 1.0)
-    t_min = d / log2(1.0 + p_max / z)
+    # w rounds to -1 once lam/z is lost against 1; the cap is taken to bind
+    # there, which holds unless p_max/lam exceeds about 1e8.
+    t_unc = d * _LN2 / (w + 1.0) if w > -1.0 else 0.0
+    cap_rate = log1p(p_max / z)
+    t_min = d * _LN2 / cap_rate if cap_rate > 0.0 else INFINITY
     if t_unc >= t_min:
         t = t_unc
         active = (t_unc - t_min) <= 1e-12 * t_unc
@@ -78,9 +83,12 @@ cdef int _schedule(double z, double d, double lam, double p_max,
         p = p_max
     else:
         p = (pow(2.0, d / t) - 1.0) * z
+    c = t * (lam + p)
+    if not isfinite(c):
+        raise ConvergenceError(f"no finite schedule for z={z!r}")
     t_out[0] = t
     p_out[0] = p
-    c_out[0] = t * (lam + p)
+    c_out[0] = c
     return 1 if active else 0
 
 
@@ -102,59 +110,3 @@ cdef double _value(double z, double d, double lam, double p_max,
 def value(double z, double d, double lam, double p_max,
           double abs_tol, double rel_tol, int max_iter):
     return _value(z, d, lam, p_max, abs_tol, rel_tol, max_iter)
-
-
-def invert_value(double u, double d, double lam, double p_max,
-                 double abs_tol, double rel_tol, int max_iter):
-    # Same bracketing as numerics.solve_increasing with lo_bound=0.
-    cdef double hint = u / (d * _LN2 * _E * 2.0)
-    cdef double a, fa, tol_f, step, cur, nxt, fn, mid, fm
-    cdef double lo = 0.0, hi = 0.0
-    cdef int i
-    cdef bint found = False
-    a = hint
-    fa = _value(a, d, lam, p_max, abs_tol, rel_tol, max_iter)
-    tol_f = abs_tol if abs_tol > rel_tol * fabs(u) else rel_tol * fabs(u)
-    if fabs(fa - u) <= tol_f:
-        return a
-    if fa < u:
-        step = fabs(a) if fabs(a) > 1.0 else 1.0
-        cur = a
-        for i in range(max_iter):
-            nxt = cur + step
-            fn = _value(nxt, d, lam, p_max, abs_tol, rel_tol, max_iter)
-            if fn >= u:
-                lo = cur
-                hi = nxt
-                found = True
-                break
-            cur = nxt
-            step *= 2.0
-        if not found:
-            raise ConvergenceError(f"bracket expansion failed above lo_hint={hint!r}")
-    else:
-        step = fabs(a) if fabs(a) > 1.0 else 1.0
-        cur = a
-        for i in range(max_iter):
-            nxt = cur - step
-            if nxt <= 0.0:
-                nxt = 0.5 * (cur + 0.0)
-            fn = _value(nxt, d, lam, p_max, abs_tol, rel_tol, max_iter)
-            if fn <= u:
-                lo = nxt
-                hi = cur
-                found = True
-                break
-            cur = nxt
-        if not found:
-            raise ConvergenceError(f"bracket expansion failed below lo_hint={hint!r}")
-    for i in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = _value(mid, d, lam, p_max, abs_tol, rel_tol, max_iter)
-        if fabs(fm - u) <= tol_f:
-            return mid
-        if fm < u:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(f"bisection residual above tolerance for target={u!r}")

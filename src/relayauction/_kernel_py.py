@@ -2,9 +2,9 @@
 
 Fallback for the compiled extension in ``_kernel.pyx``; both implement the
 same operations in the same order so results agree bit for bit. The hot
-entry points are ``schedule`` (closed-form optimum for one effective
-channel), ``value`` (its cost), and ``invert_value`` (numerical inverse of
-the value map, used for auction payments).
+entry points are ``lambert_w0``, ``schedule`` (closed-form optimum for one
+effective channel) and ``value`` (its cost). The inverse of the value map
+is a closed form on top of these, in ``schedule.z_of_value``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .numerics import ConvergenceError, _lambert_core
 BACKEND = "python"
 
 _LN2 = 0.6931471805599453
-_E = 2.718281828459045
 _INV_E = 0.36787944117144233
 
 
@@ -36,11 +35,15 @@ def schedule(z, d, lam, p_max, abs_tol, rel_tol, max_iter):
     """Closed-form minimizer of t*(lam + (2^(d/t)-1)*z) s.t. power <= p_max.
 
     Returns ``(t, p, cost, active)`` where active=1 when the power cap binds
-    (ties within rel 1e-12 count as active).
+    (ties within rel 1e-12 count as active). Raises ConvergenceError when
+    the cost is not finite, i.e. the cap duration overflows for huge z.
     """
     w = _lambert_core((lam / z - 1.0) * _INV_E, abs_tol, rel_tol, max_iter)
-    t_unc = d * _LN2 / (w + 1.0)
-    t_min = d / math.log2(1.0 + p_max / z)
+    # w rounds to -1 once lam/z is lost against 1; the cap is taken to bind
+    # there, which holds unless p_max/lam exceeds about 1e8.
+    t_unc = d * _LN2 / (w + 1.0) if w > -1.0 else 0.0
+    cap_rate = math.log1p(p_max / z)
+    t_min = d * _LN2 / cap_rate if cap_rate > 0.0 else math.inf
     if t_unc >= t_min:
         t = t_unc
         active = (t_unc - t_min) <= 1e-12 * t_unc
@@ -51,27 +54,11 @@ def schedule(z, d, lam, p_max, abs_tol, rel_tol, max_iter):
         p = p_max
     else:
         p = (math.pow(2.0, d / t) - 1.0) * z
-    return t, p, t * (lam + p), 1 if active else 0
+    c = t * (lam + p)
+    if not math.isfinite(c):
+        raise ConvergenceError(f"no finite schedule for z={z!r}")
+    return t, p, c, 1 if active else 0
 
 
 def value(z, d, lam, p_max, abs_tol, rel_tol, max_iter):
     return schedule(z, d, lam, p_max, abs_tol, rel_tol, max_iter)[2]
-
-
-def invert_value(u, d, lam, p_max, abs_tol, rel_tol, max_iter):
-    """Inverse of ``value`` in z, via monotone bracketing and bisection.
-
-    The starting hint inverts the lam == z special case (value = d*ln2*e*z)
-    and undershoots by 2x so the upward expansion usually brackets first.
-    """
-    from .numerics import ToleranceSpec, solve_increasing
-
-    tol = ToleranceSpec(abs_tol=abs_tol, rel_tol=rel_tol, max_iter=max_iter)
-    hint = u / (d * _LN2 * _E * 2.0)
-    return solve_increasing(
-        lambda z: value(z, d, lam, p_max, abs_tol, rel_tol, max_iter),
-        u,
-        hint,
-        tol,
-        lo_bound=0.0,
-    )

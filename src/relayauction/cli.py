@@ -23,11 +23,10 @@ from .config import (
     resolve_config,
     utc_now,
 )
-from .mechanisms import run_mspoa, run_spoa, cooperative_baseline, truthful_profile
-from .montecarlo import cells_record, run_sweep, write_csv
+from .montecarlo import cells_record, run_mechanism, run_sweep, write_csv
 from .numerics import ConvergenceError
 from .scenario import ScenarioInstance
-from .schedule import optimal_schedule, value_of_z
+from .schedule import optimal_schedule
 from .verify import run_level
 
 _SYSTEM_OVERRIDES = ("d_bits_per_hz", "lambda_w", "p_max_w", "sigma2_w", "a_r_m2", "alpha")
@@ -94,13 +93,7 @@ def cmd_auction(args) -> int:
     resolved = _resolved(args)
     with open(args.instance) as fh:
         inst = ScenarioInstance.from_record(json.load(fh))
-    params = resolved.system
-    if args.mechanism == "cooperative":
-        outcome = cooperative_baseline(inst, params)
-    else:
-        profile = truthful_profile(inst, params)
-        runner = run_spoa if args.mechanism == "spoa" else run_mspoa
-        outcome = runner(profile, inst, params)
+    outcome = run_mechanism(args.mechanism, inst, resolved.system)
     print(f"mechanism            = {args.mechanism}")
     print(f"winner               = {outcome.winner}")
     print(f"runner_up            = {outcome.runner_up}")

@@ -9,6 +9,7 @@ run manifest never hides one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
@@ -111,13 +112,17 @@ def _check_structure(config: dict, problems: list[str]) -> None:
             if key not in DEFAULT_CONFIG[section]:
                 problems.append(f"unknown key {section}.{key}")
                 continue
-            if (section, key) in _NUMERIC_KEYS and not isinstance(val, (int, float)):
-                problems.append(f"{section}.{key} must be a number, got {val!r}")
+            if (section, key) in _NUMERIC_KEYS and not _is_number(val):
+                problems.append(f"{section}.{key} must be a finite number, got {val!r}")
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and math.isfinite(val)
 
 
 def _pair(val, name, problems):
-    if not (isinstance(val, (list, tuple)) and len(val) == 2 and all(isinstance(v, (int, float)) for v in val)):
-        problems.append(f"{name} must be a pair of numbers, got {val!r}")
+    if not (isinstance(val, (list, tuple)) and len(val) == 2 and all(_is_number(v) for v in val)):
+        problems.append(f"{name} must be a pair of finite numbers, got {val!r}")
         return (0.0, 0.0)
     return (float(val[0]), float(val[1]))
 
@@ -148,7 +153,7 @@ def resolve_config(config: dict | None = None) -> ResolvedConfig:
     q_s = _pair(geo_d["q_s_m"], "geometry.q_s_m", problems)
     center = _pair(geo_d["blockage_center_m"], "geometry.blockage_center_m", problems)
     box = geo_d["sampling_box_m"]
-    if not (isinstance(box, (list, tuple)) and len(box) == 4 and all(isinstance(v, (int, float)) for v in box)):
+    if not (isinstance(box, (list, tuple)) and len(box) == 4 and all(_is_number(v) for v in box)):
         problems.append(f"geometry.sampling_box_m must be [xmin, xmax, ymin, ymax], got {box!r}")
         box = [0.0, 1.0, 0.0, 1.0]
 

@@ -1,8 +1,10 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when present; set RELAYAUCTION_KERNEL to
-``python`` or ``compiled`` to force a backend (``compiled`` raises if the
-extension is missing rather than silently degrading).
+Both backends export the same entry points: ``lambert_w0``, ``cost``,
+``min_power``, ``schedule`` and ``value``. The compiled extension is
+preferred when present; set RELAYAUCTION_KERNEL to ``python`` or
+``compiled`` to force a backend (``compiled`` raises if the extension is
+missing rather than silently degrading).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ cost = _impl.cost
 min_power = _impl.min_power
 schedule = _impl.schedule
 value = _impl.value
-invert_value = _impl.invert_value
 
 
 def backend_name() -> str:

@@ -55,8 +55,8 @@ class SweepConfig:
             raise ValueError("n_values and lambda_values_w must be non-empty")
         if any(n < 1 for n in self.n_values):
             raise ValueError("every n must be at least 1")
-        if any(v <= 0.0 for v in self.lambda_values_w):
-            raise ValueError("every delay power must be strictly positive")
+        if not all(0.0 < v < math.inf for v in self.lambda_values_w):
+            raise ValueError("every delay power must be strictly positive and finite")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         unknown = set(self.mechanisms) - set(MECHANISMS)

@@ -3,8 +3,8 @@ and monotone root finding.
 
 Everything here is pure Python on purpose. ``minimize_unimodal`` and
 ``solve_increasing`` act as independent cross-checks for the closed-form
-transmit-schedule solver, so they must not share code with the compiled
-kernel.
+schedule and for its closed-form inverse, so they must not share code with
+the compiled kernel.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 # Correctly rounded doubles, shared verbatim with the compiled kernel.
 _E = 2.718281828459045
 _NEG_INV_E = -0.36787944117144233
-_LN2 = 0.6931471805599453
 
 
 class ConvergenceError(RuntimeError):
@@ -135,7 +134,6 @@ def solve_increasing(
     the bound, keeping every evaluation inside the domain), then bisection
     runs until ``|f(x) - target| <= max(abs_tol, rel_tol*|target|)``.
     """
-    # Mirrored by the specialized inverter in _kernel.pyx; keep in sync.
     a = float(lo_hint)
     fa = f(a)
     tol_f = max(tol.abs_tol, tol.rel_tol * abs(target))

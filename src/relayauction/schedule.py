@@ -7,15 +7,18 @@ moving D bits/Hz in time t at the break-even power (2^(D/t)-1)*z is
 
 convex in t. ``optimal_schedule`` returns its closed-form minimizer subject
 to the transmit-power cap, ``value_of_z`` the optimal cost (strictly
-increasing in z), and ``z_of_value`` the numerical inverse of that map.
+increasing in z), and ``z_of_value`` the closed-form inverse of that map.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import kernel
-from .numerics import DEFAULT_TOL, ToleranceSpec
+from .numerics import DEFAULT_TOL, ConvergenceError, ToleranceSpec
+
+_LN2 = 0.6931471805599453
 
 
 @dataclass(frozen=True)
@@ -113,24 +116,52 @@ def value_of_z(z: float, params: SystemParams, tol: ToleranceSpec = DEFAULT_TOL)
 
 
 def z_of_value(u: float, params: SystemParams, tol: ToleranceSpec = DEFAULT_TOL) -> float:
-    """Inverse of ``value_of_z``: the z whose optimal cost equals u.
-
-    Solved by monotone bracketing/bisection on value_of_z, to
+    """Inverse of ``value_of_z``: the z whose optimal cost equals u, to
     ``|value_of_z(z) - u| <= max(abs_tol, rel_tol*u)``.
+
+    Closed form. Off the cap v = D*ln2*z*e^s with s = W0((lambda/z - 1)/e) + 1;
+    eliminating z gives s = a + W0(-e^-a), a = 1 + D*ln2*lambda/u, and
+    z = u*e^-s/(D*ln2). That equals lambda/(1 + (s-1)*e^s) but neither
+    overflows nor cancels near a -> 1. If its power (e^s - 1)*z exceeds
+    p_max the cap binds instead, and z = p_max/expm1(D*ln2*(lambda + p_max)/u).
+    Near a -> 1 the Lambert residual leaves too much error in s, so Newton
+    steps on the schedule's cost polish z.
+
+    Raises ValueError when no positive finite z has value u, and
+    ConvergenceError when the schedule cannot resolve u.
     """
-    if not u > 0.0:
-        raise ValueError(f"value must be strictly positive, got {u!r}")
-    return kernel.invert_value(
-        u,
-        params.d_bits_per_hz,
-        params.lambda_w,
-        params.p_max_w,
-        tol.abs_tol,
-        tol.rel_tol,
-        tol.max_iter,
-    )
+    if not 0.0 < u < math.inf:
+        raise ValueError(f"value must be strictly positive and finite, got {u!r}")
+    d, lam, p_max = params.d_bits_per_hz, params.lambda_w, params.p_max_w
+    solver = (tol.abs_tol, tol.rel_tol, tol.max_iter)
+    k = d * _LN2
+    a = 1.0 + k * lam / u
+    s = a + kernel.lambert_w0(-math.exp(-a), *solver)
+    z = u * math.exp(-s) / k
+    if not (s > 0.0 and -math.expm1(-s) * u / k <= p_max):
+        x = k * (lam + p_max) / u
+        z = p_max * math.exp(-x) / -math.expm1(-x) if x > 0.0 else math.inf
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"no positive finite effective channel has value {u!r}")
+    tol_f = max(tol.abs_tol, tol.rel_tol * u)
+    for _ in range(tol.max_iter):
+        try:
+            t, p, c, active = kernel.schedule(z, d, lam, p_max, *solver)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"cannot resolve value {u!r}: {exc}") from None
+        if abs(c - u) <= tol_f:
+            return z
+        # dv/dz: the envelope derivative t*(2^(D/t) - 1) off the cap;
+        # on it t = D*ln2/log1p(p_max/z) moves with z.
+        if active:
+            slope = c * p_max / (z * (z + p_max) * math.log1p(p_max / z))
+        else:
+            slope = t * p / z
+        z_next = z - (c - u) / slope
+        z = z_next if z_next > 0.0 else 0.5 * z
+    raise ConvergenceError(f"cannot resolve value {u!r} to tolerance in {tol.max_iter} steps")
 
 
 def _check_z(z: float) -> None:
-    if not z > 0.0:
-        raise ValueError(f"effective channel must be strictly positive, got {z!r}")
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"effective channel must be strictly positive and finite, got {z!r}")

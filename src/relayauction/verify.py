@@ -28,7 +28,7 @@ from .mechanisms import (
     StrategyProfile,
 )
 from .montecarlo import SweepConfig, render_csv, run_sweep
-from .numerics import ToleranceSpec, lambert_w0, minimize_unimodal
+from .numerics import ToleranceSpec, lambert_w0, minimize_unimodal, solve_increasing
 from .scenario import ChannelConfig, GeometryConfig, ScenarioInstance, sample_instance
 from .schedule import (
     SystemParams,
@@ -76,6 +76,14 @@ def oracle_schedule_cost(z: float, params: SystemParams) -> float:
     tol = ToleranceSpec(abs_tol=1e-12, rel_tol=1e-9, max_iter=200)
     _, f_min = minimize_unimodal(lambda t: cost_function(t, z, params), t_min, t_hi, tol)
     return f_min
+
+
+def oracle_z_of_value(u: float, params: SystemParams) -> float:
+    """Bracketing-and-bisection inverse of ``value_of_z``; independent of
+    the closed form it cross-checks. The hint inverts the lambda == z case
+    (value = D*ln2*e*z) and undershoots by 2x."""
+    hint = u / (params.d_bits_per_hz * math.log(2.0) * math.e * 2.0)
+    return solve_increasing(lambda z: value_of_z(z, params), u, hint, lo_bound=0.0)
 
 
 def check_oracle_equivalence(n_z: int = 200) -> CheckResult:
@@ -159,19 +167,29 @@ def check_monotonicity(n_grid: int = 200, n_roundtrip: int = 100) -> CheckResult
             jump = abs(above.p_star_w - below.p_star_w)
             if jump > 1e-6:
                 problems.append(f"P* jump {jump:.2e} across cap activation at lam={lam}, p_max={p_max}")
+    # The closed-form inverse against the bisection oracle, on both sides of
+    # the cap kink (z = 46.8 here).
     params = SystemParams(lambda_w=1.0, p_max_w=10.0)
     rng = np.random.default_rng(3)
-    worst_rt = 0.0
+    worst_rt = worst_oracle = 0.0
     for z in 10.0 ** rng.uniform(-3, 3, size=n_roundtrip):
-        z_back = z_of_value(value_of_z(float(z), params), params)
+        u = value_of_z(float(z), params)
+        z_back = z_of_value(u, params)
         worst_rt = max(worst_rt, abs(z_back - z) / z)
+        z_oracle = oracle_z_of_value(u, params)
+        worst_oracle = max(worst_oracle, abs(z_back - z_oracle) / z_oracle)
     if worst_rt > 1e-6:
         problems.append(f"round-trip rel error {worst_rt:.2e}")
+    if worst_oracle > 1e-6:
+        problems.append(f"inverse off the bisection oracle by rel {worst_oracle:.2e}")
     return _result(
         "monotonicity-suites",
         t0,
         not problems,
-        "; ".join(problems) if problems else f"monotonicity holds on {n_grid}-pt grids, round-trip err {worst_rt:.2e}",
+        "; ".join(problems) if problems else (
+            f"monotonicity holds on {n_grid}-pt grids, round-trip err {worst_rt:.2e}, "
+            f"inverse vs bisection oracle {worst_oracle:.2e}"
+        ),
     )
 
 

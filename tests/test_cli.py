@@ -29,6 +29,11 @@ class TestSolve:
         assert not record["constraint_active"]
         assert "t_star_s" in out  # human-readable section precedes the record
 
+    def test_huge_channel_binds_the_cap(self, capsys):
+        assert main(["solve", "--z", "1e20"]) == 0
+        record, _ = _last_record(capsys)
+        assert record["constraint_active"]
+
     def test_invalid_channel_usage_error(self, capsys):
         assert main(["solve", "--z", "-3"]) == 1
         assert main(["solve", "--z", "0"]) == 1
@@ -140,6 +145,22 @@ class TestSweep:
         assert "trials" in err or "sweep" in err
         assert "system" in err
 
+    @pytest.mark.parametrize(
+        "config_text,flags",
+        [
+            ('{"system": {"p_max_w": Infinity}}', []),
+            ('{"geometry": {"q_s_m": [7.0, NaN]}}', []),
+            ('{"sweep": {"lambda_values_w": [1.0, Infinity]}}', []),
+            ("{}", ["--lambda-w", "inf"]),
+        ],
+    )
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, config_text, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(config_text)
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"), *flags])
+        assert rc == 1
+        assert "invalid configuration" in capsys.readouterr().err
+
     def test_invalid_json_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -155,6 +176,10 @@ class TestNumericalFailureExitCode:
 
         monkeypatch.setattr("relayauction.cli.optimal_schedule", boom)
         assert main(["solve", "--z", "1.0"]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_overflowing_schedule_maps_to_two(self, capsys):
+        assert main(["solve", "--z", "1e308"]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
 

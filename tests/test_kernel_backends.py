@@ -38,14 +38,9 @@ def test_schedule_bitwise_equal():
         )
 
 
-def test_value_and_invert_bitwise_equal():
+def test_value_bitwise_equal():
     for z, lam, p_max in _grid(13, count=500):
-        u_c = compiled.value(z, 8.0, lam, p_max, *TOL)
-        u_p = _kernel_py.value(z, 8.0, lam, p_max, *TOL)
-        assert u_c == u_p
-        assert compiled.invert_value(u_c, 8.0, lam, p_max, *TOL) == _kernel_py.invert_value(
-            u_p, 8.0, lam, p_max, *TOL
-        )
+        assert compiled.value(z, 8.0, lam, p_max, *TOL) == _kernel_py.value(z, 8.0, lam, p_max, *TOL)
 
 
 def test_lambert_bitwise_equal():

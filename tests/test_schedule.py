@@ -1,9 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayauction import (
+    ConvergenceError,
     SystemParams,
     cost_function,
     min_total_power,
@@ -11,7 +15,8 @@ from relayauction import (
     value_of_z,
     z_of_value,
 )
-from relayauction.verify import oracle_schedule_cost
+from relayauction.numerics import DEFAULT_TOL
+from relayauction.verify import _kink_z, oracle_schedule_cost, oracle_z_of_value
 
 LN2 = math.log(2.0)
 
@@ -124,6 +129,22 @@ class TestOptimalSchedule:
         with pytest.raises(ValueError):
             optimal_schedule(0.0, params10)
 
+    def test_rejects_infinite_channel(self, params10):
+        with pytest.raises(ValueError):
+            optimal_schedule(math.inf, params10)
+
+    @pytest.mark.parametrize("z", [1e17, 1e20, 1e200])
+    def test_huge_channel_binds_the_cap(self, params10, z):
+        # lambda/z is lost against 1 here, so the Lambert value rounds to -1.
+        sol = optimal_schedule(z, params10)
+        assert sol.constraint_active
+        assert sol.p_star_w == params10.p_max_w
+        assert sol.t_star_s == pytest.approx(8.0 * LN2 * z / params10.p_max_w, rel=1e-12)
+
+    def test_overflowing_schedule_is_a_convergence_error(self, params10):
+        with pytest.raises(ConvergenceError, match="no finite schedule"):
+            optimal_schedule(1e308, params10)
+
 
 class TestMonotonicity:
     def test_duration_strictly_increasing(self, params10):
@@ -159,6 +180,80 @@ class TestValueInverse:
     def test_rejects_non_positive_value(self, params10):
         with pytest.raises(ValueError):
             z_of_value(0.0, params10)
+
+
+def _within_contract(z, u, params):
+    return abs(value_of_z(z, params) - u) <= max(DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol * u)
+
+
+ORACLE_GRID = [
+    SystemParams(lambda_w=lam, p_max_w=p_max)
+    for lam in (0.01, 0.1, 1.0, 10.0, 100.0)
+    for p_max in (1.0, 10.0, 100.0)
+]
+
+
+class TestClosedFormInverse:
+    @pytest.mark.parametrize("params", ORACLE_GRID, ids=lambda p: f"lam{p.lambda_w}-pmax{p.p_max_w}")
+    def test_agrees_with_bisection_oracle(self, params):
+        # Log grid over z, plus both sides of the cap kink. For lambda << p_max
+        # the kink lies at a = 1 + D*ln2*lambda/u within 2e-8 of 1, where the
+        # Lambert argument -e^-a sits next to the branch point -1/e.
+        zk = _kink_z(params)
+        zs = list(np.logspace(-6.0, 6.0, 200))
+        zs += [zk * (1.0 + sgn * step) for sgn in (-1.0, 1.0) for step in (1e-12, 1e-9, 1e-6, 1e-3)]
+        for z in zs:
+            u = value_of_z(float(z), params)
+            z_closed = z_of_value(u, params)
+            assert _within_contract(z_closed, u, params), (z, u)
+            z_oracle = oracle_z_of_value(u, params)
+            assert z_closed == pytest.approx(z_oracle, rel=1e-8), (z, u)
+
+    def test_grid_reaches_the_branch_point(self):
+        params = SystemParams(lambda_w=0.01, p_max_w=100.0)
+        u_kink = value_of_z(_kink_z(params), params)
+        assert 8.0 * LN2 * params.lambda_w / u_kink < 1e-7
+
+    @pytest.mark.parametrize("rel", [-0.1, 0.1])
+    def test_polish_recovers_from_a_perturbed_lambert_value(self, monkeypatch, rel):
+        # A Lambert value 10 percent off lands the first guess on the wrong
+        # side of the kink for some u; Newton steps on either branch fix it.
+        from relayauction import kernel
+
+        exact = kernel.lambert_w0
+        monkeypatch.setattr(kernel, "lambert_w0", lambda x, *tol: exact(x, *tol) * (1.0 + rel))
+        for params in (SystemParams(lambda_w=0.1, p_max_w=1.0), SystemParams(lambda_w=10.0, p_max_w=1.0)):
+            zk = _kink_z(params)
+            for f in np.logspace(-3.0, 3.0, 25):
+                u = value_of_z(zk * float(f), params)
+                assert _within_contract(z_of_value(u, params), u, params)
+
+    @given(
+        log_u=st.floats(-300.0, 300.0),
+        lam=st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0]),
+        p_max=st.sampled_from([1.0, 10.0, 100.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_whole_range_meets_contract_or_names_the_value(self, log_u, lam, p_max):
+        params = SystemParams(lambda_w=lam, p_max_w=p_max)
+        u = 10.0 ** log_u
+        try:
+            z = z_of_value(u, params)
+        except (ValueError, ConvergenceError) as exc:
+            assert repr(u) in str(exc)
+        else:
+            assert z > 0.0
+            assert _within_contract(z, u, params)
+
+    @pytest.mark.parametrize("u", [1e-3, 1e-300])
+    def test_value_below_every_channel_is_a_value_error(self, params10, u):
+        with pytest.raises(ValueError, match=re.escape(repr(u))):
+            z_of_value(u, params10)
+
+    def test_huge_value_binds_the_cap(self, params10):
+        z = z_of_value(1e300, params10)
+        assert optimal_schedule(z, params10).constraint_active
+        assert _within_contract(z, 1e300, params10)
 
 
 class TestMinTotalPower:
