@@ -1,10 +1,8 @@
 """Pure-Python transmit-schedule kernel.
 
-Fallback for the compiled extension in ``_kernel.pyx``; both implement the
-same operations in the same order so results agree bit for bit. The hot
-entry points are ``lambert_w0``, ``schedule`` (closed-form optimum for one
-effective channel) and ``value`` (its cost). The inverse of the value map
-is a closed form on top of these, in ``schedule.z_of_value``.
+The hot entry points are ``lambert_w0``, ``schedule`` (closed-form optimum
+for one effective channel) and ``value`` (its cost). The inverse of the
+value map is a closed form on top of these, in ``schedule.z_of_value``.
 """
 
 from __future__ import annotations
@@ -17,6 +15,9 @@ BACKEND = "python"
 
 _LN2 = 0.6931471805599453
 _INV_E = 0.36787944117144233
+# lam/z below which w + 1 comes from the branch-point series: the same
+# threshold, x < -1/e + 1e-6, at which _lambert_core returns that series.
+_SERIES_R = 2.718281828459045 * 1e-6
 
 
 def lambert_w0(x, abs_tol, rel_tol, max_iter):
@@ -24,11 +25,12 @@ def lambert_w0(x, abs_tol, rel_tol, max_iter):
 
 
 def cost(t, z, d, lam):
-    return t * (lam + (math.pow(2.0, d / t) - 1.0) * z)
+    return t * (lam + min_power(t, z, d))
 
 
 def min_power(t, z, d):
-    return (math.pow(2.0, d / t) - 1.0) * z
+    # expm1 keeps 2^(d/t) - 1 exact at long durations.
+    return math.expm1(d * _LN2 / t) * z
 
 
 def schedule(z, d, lam, p_max, abs_tol, rel_tol, max_iter):
@@ -38,10 +40,15 @@ def schedule(z, d, lam, p_max, abs_tol, rel_tol, max_iter):
     (ties within rel 1e-12 count as active). Raises ConvergenceError when
     the cost is not finite, i.e. the cap duration overflows for huge z.
     """
-    w = _lambert_core((lam / z - 1.0) * _INV_E, abs_tol, rel_tol, max_iter)
-    # w rounds to -1 once lam/z is lost against 1; the cap is taken to bind
-    # there, which holds unless p_max/lam exceeds about 1e8.
-    t_unc = d * _LN2 / (w + 1.0) if w > -1.0 else 0.0
+    r = lam / z
+    if r < _SERIES_R:
+        # W0((r - 1)/e) + 1 as a series in q = sqrt(2r), taken before
+        # r - 1 cancels against 1.
+        q = math.sqrt(2.0 * r)
+        wp1 = q * (1.0 + q * (-0.3333333333333333 + q * 0.1527777777777778))
+    else:
+        wp1 = _lambert_core((r - 1.0) * _INV_E, abs_tol, rel_tol, max_iter) + 1.0
+    t_unc = d * _LN2 / wp1 if wp1 > 0.0 else 0.0
     cap_rate = math.log1p(p_max / z)
     t_min = d * _LN2 / cap_rate if cap_rate > 0.0 else math.inf
     if t_unc >= t_min:
@@ -50,10 +57,7 @@ def schedule(z, d, lam, p_max, abs_tol, rel_tol, max_iter):
     else:
         t = t_min
         active = True
-    if active:
-        p = p_max
-    else:
-        p = (math.pow(2.0, d / t) - 1.0) * z
+    p = p_max if active else min_power(t, z, d)
     c = t * (lam + p)
     if not math.isfinite(c):
         raise ConvergenceError(f"no finite schedule for z={z!r}")

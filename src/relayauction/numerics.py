@@ -1,10 +1,9 @@
 """Scalar numerics: principal-branch Lambert W, golden-section minimization,
 and monotone root finding.
 
-Everything here is pure Python on purpose. ``minimize_unimodal`` and
-``solve_increasing`` act as independent cross-checks for the closed-form
-schedule and for its closed-form inverse, so they must not share code with
-the compiled kernel.
+``minimize_unimodal`` and ``solve_increasing`` act as independent
+cross-checks for the closed-form schedule and for its closed-form inverse,
+so they must not share code with the schedule kernel.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Correctly rounded doubles, shared verbatim with the compiled kernel.
+# Correctly rounded doubles.
 _E = 2.718281828459045
 _NEG_INV_E = -0.36787944117144233
 
@@ -44,7 +43,6 @@ DEFAULT_TOL = ToleranceSpec()
 
 
 def _lambert_core(x: float, abs_tol: float, rel_tol: float, max_iter: int) -> float:
-    # Transliterated verbatim in _kernel.pyx; keep the operation order in sync.
     if x < _NEG_INV_E - abs_tol:
         raise ValueError(f"lambert_w0 argument {x!r} below the branch point -1/e")
     if x <= _NEG_INV_E:

@@ -85,7 +85,7 @@ def optimal_schedule(
     """Closed-form minimizer of ``cost_function`` over t, subject to the cap.
 
     The unconstrained optimum is D*ln2 / (W0((lambda/z - 1)/e) + 1); the cap
-    branch D / log2(1 + p_max/z) takes over for bad channels. Uniqueness
+    branch D*ln2 / log1p(p_max/z) takes over for bad channels. Uniqueness
     follows from convexity.
     """
     _check_z(z)

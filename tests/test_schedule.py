@@ -67,6 +67,11 @@ class TestCostFunction:
         got = cost_function(8.0 * LN2, 1.0, params10)
         assert got == pytest.approx(8.0 * math.e * LN2, rel=1e-14)
 
+    def test_long_duration_does_not_cancel(self, params10):
+        # (2^(D/t) - 1)*z*t tends to D*ln2*z; 2^(D/t) - 1 would lose it.
+        got = cost_function(1e12, 1e10, params10) - 1e12 * params10.lambda_w
+        assert got == pytest.approx(8.0 * LN2 * 1e10, rel=1e-9)
+
     def test_rejects_non_positive_inputs(self, params10):
         with pytest.raises(ValueError):
             cost_function(0.0, 1.0, params10)
@@ -94,6 +99,43 @@ class TestOptimalSchedule:
         assert sol.t_star_s == pytest.approx(ORACLE_T_Z2, rel=1e-5)
         assert sol.cost_ws == pytest.approx(ORACLE_COST_Z2, rel=1e-9)
         assert oracle_schedule_cost(2.0, params10) == pytest.approx(sol.cost_ws, rel=1e-9)
+
+    @pytest.mark.parametrize("z", [1e10, 1e11, 1e12, 1e14, 1e23])
+    def test_against_golden_section_oracle_near_branch_point(self, z):
+        # lambda/z <= 1e-16 at p_max/lambda = 1e12: (lambda/z - 1) cancels in
+        # the Lambert argument, and 2^(D/t) - 1 cancels at the long optimal
+        # durations. Every schedule costs more than D*ln2*z, and the cap binds
+        # only once the interior power sqrt(2*lambda*z) exceeds p_max.
+        params = SystemParams(lambda_w=1e-6, p_max_w=1e6)
+        sol = optimal_schedule(z, params)
+        oracle = oracle_schedule_cost(z, params)
+        assert oracle > 8.0 * LN2 * z
+        assert sol.cost_ws == pytest.approx(oracle, rel=1e-12)
+        assert sol.constraint_active == (math.sqrt(2.0 * params.lambda_w * z) > params.p_max_w)
+
+    @given(
+        log_z=st.floats(-300.0, 300.0),
+        log_lam=st.floats(-6.0, 6.0),
+        log_pmax=st.floats(-6.0, 6.0),
+        log_d=st.floats(-2.0, 3.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_whole_range_is_optimal_or_an_error(self, log_z, log_lam, log_pmax, log_d):
+        # The 1e-12 slack is rounding: at lambda/z ~ 1e-300 a 1e-4 step in t
+        # moves the cost by far less than one ulp.
+        params = SystemParams(
+            d_bits_per_hz=10.0**log_d, lambda_w=10.0**log_lam, p_max_w=10.0**log_pmax
+        )
+        z = 10.0**log_z
+        try:
+            sol = optimal_schedule(z, params)
+        except (ValueError, ConvergenceError):
+            return
+        assert sol.p_star_w <= params.p_max_w * (1.0 + 1e-12)
+        for step in (-1e-4, 1e-4):
+            t = sol.t_star_s * (1.0 + step)
+            if min_total_power(t, z, params) <= params.p_max_w:
+                assert cost_function(t, z, params) >= sol.cost_ws * (1.0 - 1e-12), step
 
     def test_cost_recomputable_exactly(self, params10):
         for z in (1e-3, 0.5, 3.0, 50.0, 1e4):
@@ -269,6 +311,9 @@ class TestMinTotalPower:
             assert min_total_power(sol.t_star_s, z, params10) == pytest.approx(
                 sol.p_star_w, rel=1e-9
             )
+
+    def test_long_duration_does_not_cancel(self, params10):
+        assert min_total_power(8e12, 1.0, params10) == pytest.approx(LN2 * 1e-12, rel=1e-9, abs=0.0)
 
     def test_rejects_non_positive_duration(self, params10):
         with pytest.raises(ValueError):
