@@ -63,7 +63,8 @@ def _resolved(args) -> ResolvedConfig:
 
 
 def _emit_record(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
+    # Strict JSON: records encode any non-finite value themselves (as null).
+    print(json.dumps(record, sort_keys=True, allow_nan=False))
 
 
 def cmd_solve(args) -> int:

@@ -1,15 +1,19 @@
 """Bids, scoring, and the auction mechanisms.
 
 Bids are (duration, total power) pairs scored by t*(lambda_w + p_tot); the
-best (lowest) score wins against the source's own reservation bid. Two
-payment rules are implemented on top of the shared winner rule:
+best (lowest) score wins against the source's own reservation bid. Three
+settlement rules share that winner rule and one signature,
+``(profile, inst, params)``, and differ only in what a winning candidate is
+paid (a winning reservation bid is always paid its own schedule):
 
-* SPOA: the winner is paid the runner-up bid verbatim. Truthful bidding is
-  a Nash equilibrium but not dominant: an off-manifold runner-up bid can pay
-  the winner less than its break-even power.
-* MSPOA: the runner-up score is mapped back onto the manifold of optimal
-  schedules (via the inverse of the value map) before payment, which makes
-  truthful bidding dominant.
+* cooperative baseline: the winner's own bid. On the truthful profile that
+  is its optimal schedule, the perfect-information benchmark.
+* SPOA: the runner-up bid verbatim. Truthful bidding is a Nash equilibrium
+  but not dominant: an off-manifold runner-up bid can pay the winner less
+  than its break-even power.
+* MSPOA: the runner-up score mapped back onto the manifold of optimal
+  schedules (via the inverse of the value map), which makes truthful
+  bidding dominant.
 
 A reported winner relay-power value flags payments whose implied candidate
 retransmission would exceed the transmit cap; the mechanisms do not enforce
@@ -20,16 +24,17 @@ optimization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .numerics import ConvergenceError
 from .scenario import ScenarioInstance
 from .schedule import (
     SystemParams,
     min_total_power,
     optimal_schedule,
-    value_of_z,
+    value_of_z,  # noqa: F401  (the name traced runs wrap; see perfbench/tracing.py)
     z_of_value,
 )
 
@@ -104,7 +109,9 @@ class AuctionOutcome:
     source_cost_ws = payment_t_s * (lambda_w + payment_p_w) exactly.
     winner_net_energy_j is zero when the source transmits directly.
     winner_relay_p_w reports the power the winning candidate needs for its
-    own retransmission (informational; not enforced by the mechanisms).
+    own retransmission (informational; not enforced by the mechanisms). It
+    is inf, with winner_relay_feasible false, when that power exceeds the
+    largest double; records encode inf as null so they stay strict JSON.
     """
 
     winner: int
@@ -117,18 +124,10 @@ class AuctionOutcome:
     winner_relay_feasible: bool = True
 
     def to_record(self) -> dict:
-        return {
-            "format": OUTCOME_FORMAT,
-            "version": RECORD_VERSION,
-            "winner": self.winner,
-            "payment_t_s": self.payment_t_s,
-            "payment_p_w": self.payment_p_w,
-            "source_cost_ws": self.source_cost_ws,
-            "winner_net_energy_j": self.winner_net_energy_j,
-            "runner_up": self.runner_up,
-            "winner_relay_p_w": self.winner_relay_p_w,
-            "winner_relay_feasible": self.winner_relay_feasible,
-        }
+        record = {"format": OUTCOME_FORMAT, "version": RECORD_VERSION, **asdict(self)}
+        if not self.winner_relay_p_w < math.inf:
+            record["winner_relay_p_w"] = None
+        return record
 
     @classmethod
     def from_record(cls, record: dict) -> "AuctionOutcome":
@@ -136,6 +135,7 @@ class AuctionOutcome:
             raise ValueError(f"not an auction-outcome record: {record.get('format')!r}")
         if record.get("version") != RECORD_VERSION:
             raise ValueError(f"unsupported record version {record.get('version')!r}")
+        relay_p = record.get("winner_relay_p_w", 0.0)
         return cls(
             winner=int(record["winner"]),
             payment_t_s=float(record["payment_t_s"]),
@@ -143,7 +143,7 @@ class AuctionOutcome:
             source_cost_ws=float(record["source_cost_ws"]),
             winner_net_energy_j=float(record["winner_net_energy_j"]),
             runner_up=int(record["runner_up"]),
-            winner_relay_p_w=float(record.get("winner_relay_p_w", 0.0)),
+            winner_relay_p_w=math.inf if relay_p is None else float(relay_p),
             winner_relay_feasible=bool(record.get("winner_relay_feasible", True)),
         )
 
@@ -166,28 +166,36 @@ def truthful_profile(inst: ScenarioInstance, params: SystemParams) -> StrategyPr
     return StrategyProfile(tuple(bids))
 
 
-def _z_of_bidder(i: int, inst: ScenarioInstance) -> float:
-    return inst.z0_w if i == SOURCE else float(inst.z_w[i - 1])
-
-
 def _net_energy(t: float, p: float, winner: int, inst: ScenarioInstance, params: SystemParams) -> float:
     if winner == SOURCE:
         return 0.0
-    z_w = _z_of_bidder(winner, inst)
-    return t * float(inst.alpha_tilde[winner - 1]) * (p - min_total_power(t, z_w, params))
+    z_w = float(inst.z_w[winner - 1])
+    e = t * float(inst.alpha_tilde[winner - 1]) * (p - min_total_power(t, z_w, params))
+    if not math.isfinite(e):
+        raise ConvergenceError(f"winner {winner}'s net energy overflows a double")
+    return e
 
 
 def _relay_power(t: float, winner: int, inst: ScenarioInstance, params: SystemParams):
     # Candidate's own retransmission power (2^(D/t)-1)*sigma2/h_i at the
     # payment duration; reported so cap violations are visible downstream.
+    # A power beyond the largest double is reported as inf, i.e. infeasible.
     if winner == SOURCE:
         return 0.0, True
     z_relay = params.sigma2_w / float(inst.h_i[winner - 1])
-    p_relay = min_total_power(t, z_relay, params)
+    if not z_relay < math.inf:
+        return math.inf, False
+    try:
+        p_relay = min_total_power(t, z_relay, params)
+    except OverflowError:
+        return math.inf, False
     return p_relay, p_relay <= params.p_max_w
 
 
-def _validate_profile(profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams) -> None:
+def _winner_and_runner(
+    profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams
+) -> tuple[Bid, Bid]:
+    """The shared winner rule: best and second-best score over a valid profile."""
     n = inst.n_candidates
     for b in profile.bids:
         if b.bidder > n:
@@ -196,9 +204,6 @@ def _validate_profile(profile: StrategyProfile, inst: ScenarioInstance, params: 
             raise ValueError(
                 f"bid power {b.p_tot_w!r} from bidder {b.bidder} exceeds the cap {params.p_max_w!r}"
             )
-
-
-def _winner_and_runner(profile: StrategyProfile, params: SystemParams) -> tuple[Bid, Bid]:
     if len(profile.bids) < 2:
         raise ValueError("an auction needs at least two bids (no runner-up exists)")
     # Ties break toward the lowest bidder index, so the source beats candidates.
@@ -206,25 +211,33 @@ def _winner_and_runner(profile: StrategyProfile, params: SystemParams) -> tuple[
     return ranked[0], ranked[1]
 
 
-def cooperative_baseline(inst: ScenarioInstance, params: SystemParams) -> AuctionOutcome:
-    """Perfect-information benchmark: pick argmin of v over the source and
-    all candidates and pay the winner exactly its break-even schedule."""
-    values = [value_of_z(inst.z0_w, params)]
-    values += [value_of_z(float(z), params) for z in inst.z_w]
-    order = sorted(range(len(values)), key=lambda i: (values[i], i))
-    winner, runner = order[0], order[1]
-    sol = optimal_schedule(_z_of_bidder(winner, inst), params)
-    relay_p, relay_ok = _relay_power(sol.t_star_s, winner, inst, params)
+def _outcome(
+    best: Bid, runner: Bid, t: float, p: float, cost: float, inst: ScenarioInstance, params: SystemParams
+) -> AuctionOutcome:
+    """The winner `best` paid (t, p) at source cost `cost`."""
+    relay_p, relay_ok = _relay_power(t, best.bidder, inst, params)
     return AuctionOutcome(
-        winner=winner,
-        payment_t_s=sol.t_star_s,
-        payment_p_w=sol.p_star_w,
-        source_cost_ws=sol.cost_ws,
-        winner_net_energy_j=_net_energy(sol.t_star_s, sol.p_star_w, winner, inst, params),
-        runner_up=runner,
+        winner=best.bidder,
+        payment_t_s=t,
+        payment_p_w=p,
+        source_cost_ws=cost,
+        winner_net_energy_j=_net_energy(t, p, best.bidder, inst, params),
+        runner_up=runner.bidder,
         winner_relay_p_w=relay_p,
         winner_relay_feasible=relay_ok,
     )
+
+
+def cooperative_baseline(
+    profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams
+) -> AuctionOutcome:
+    """Perfect-information benchmark: the winner is paid its own bid.
+
+    On the truthful profile that is the winner's optimal schedule, so a
+    winning candidate exactly breaks even.
+    """
+    best, runner = _winner_and_runner(profile, inst, params)
+    return _outcome(best, runner, best.t_s, best.p_tot_w, score(best, params), inst, params)
 
 
 def run_spoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams) -> AuctionOutcome:
@@ -233,47 +246,19 @@ def run_spoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemPar
     When the reservation bid wins, the source simply transmits at its own
     optimal schedule.
     """
-    _validate_profile(profile, inst, params)
-    best, runner = _winner_and_runner(profile, params)
-    if best.bidder == SOURCE:
-        pay_t, pay_p = best.t_s, best.p_tot_w
-    else:
-        pay_t, pay_p = runner.t_s, runner.p_tot_w
-    relay_p, relay_ok = _relay_power(pay_t, best.bidder, inst, params)
-    return AuctionOutcome(
-        winner=best.bidder,
-        payment_t_s=pay_t,
-        payment_p_w=pay_p,
-        source_cost_ws=pay_t * (params.lambda_w + pay_p),
-        winner_net_energy_j=_net_energy(pay_t, pay_p, best.bidder, inst, params),
-        runner_up=runner.bidder,
-        winner_relay_p_w=relay_p,
-        winner_relay_feasible=relay_ok,
-    )
+    best, runner = _winner_and_runner(profile, inst, params)
+    paid = best if best.bidder == SOURCE else runner
+    return _outcome(best, runner, paid.t_s, paid.p_tot_w, score(paid, params), inst, params)
 
 
 def run_mspoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams) -> AuctionOutcome:
     """Modified SPOA: pay the optimal schedule whose cost equals the
     runner-up score, i.e. map the runner-up back onto the bid manifold."""
-    _validate_profile(profile, inst, params)
-    best, runner = _winner_and_runner(profile, params)
+    best, runner = _winner_and_runner(profile, inst, params)
     if best.bidder == SOURCE:
-        pay_t, pay_p, cost = best.t_s, best.p_tot_w, score(best, params)
-    else:
-        z_pay = z_of_value(score(runner, params), params)
-        sol = optimal_schedule(z_pay, params)
-        pay_t, pay_p, cost = sol.t_star_s, sol.p_star_w, sol.cost_ws
-    relay_p, relay_ok = _relay_power(pay_t, best.bidder, inst, params)
-    return AuctionOutcome(
-        winner=best.bidder,
-        payment_t_s=pay_t,
-        payment_p_w=pay_p,
-        source_cost_ws=cost,
-        winner_net_energy_j=_net_energy(pay_t, pay_p, best.bidder, inst, params),
-        runner_up=runner.bidder,
-        winner_relay_p_w=relay_p,
-        winner_relay_feasible=relay_ok,
-    )
+        return _outcome(best, runner, best.t_s, best.p_tot_w, score(best, params), inst, params)
+    sol = optimal_schedule(z_of_value(score(runner, params), params), params)
+    return _outcome(best, runner, sol.t_star_s, sol.p_star_w, sol.cost_ws, inst, params)
 
 
 def ex_post_utility(i: int, outcome: AuctionOutcome, inst: ScenarioInstance, params: SystemParams) -> float:

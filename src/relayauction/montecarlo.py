@@ -16,6 +16,7 @@ import numpy as np
 
 from .mechanisms import (
     AuctionOutcome,
+    StrategyProfile,
     cooperative_baseline,
     run_mspoa,
     run_spoa,
@@ -128,9 +129,16 @@ def run_mechanism(
     mechanism: str, inst: ScenarioInstance, params: SystemParams
 ) -> AuctionOutcome:
     """Run one mechanism under truthful bidding (dominant play for MSPOA)."""
+    return _settle(mechanism, truthful_profile(inst, params), inst, params)
+
+
+def _settle(
+    mechanism: str, profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams
+) -> AuctionOutcome:
+    # The rules are looked up as module globals on every call, so a wrapper
+    # installed on this module (a traced run's span) sees each settlement.
     if mechanism == "cooperative":
-        return cooperative_baseline(inst, params)
-    profile = truthful_profile(inst, params)
+        return cooperative_baseline(profile, inst, params)
     if mechanism == "spoa":
         return run_spoa(profile, inst, params)
     if mechanism == "mspoa":
@@ -159,12 +167,13 @@ def _trial_chunk(
     params: SystemParams,
 ) -> np.ndarray:
     out = np.empty((hi - lo, len(lambdas), len(mechanisms), 4))
+    cell_params = [replace(params, lambda_w=lam) for lam in lambdas]
     for k in range(lo, hi):
         inst = sample_instance(n, geom, chan, params, trial_rng(seed, n, k))
-        for j, lam in enumerate(lambdas):
-            cell_params = replace(params, lambda_w=lam)
+        for j, cell in enumerate(cell_params):
+            profile = truthful_profile(inst, cell)
             for m, mech in enumerate(mechanisms):
-                out[k - lo, j, m] = _outcome_metrics(run_mechanism(mech, inst, cell_params))
+                out[k - lo, j, m] = _outcome_metrics(_settle(mech, profile, inst, cell))
     return out
 
 

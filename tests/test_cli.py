@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from relayauction import SystemParams, optimal_schedule
+from relayauction import AuctionOutcome, SystemParams, optimal_schedule
 from relayauction.cli import main
 from relayauction.verify import CheckResult
 
@@ -79,6 +80,45 @@ class TestAuction:
         assert rc == 0
         assert rec["winner"] == 0
         assert rec["winner_net_energy_j"] == 0.0
+
+    def _hopeless_relay_instance(self, tmp_path, h_i, alpha_tilde=1.0):
+        # A near-perfect effective channel (z = 1e-12) whose own link h_i is so
+        # weak that its retransmission power (2^(D/t) - 1)*sigma2/h_i can
+        # exceed the largest double.
+        path = tmp_path / "hopeless_relay.json"
+        path.write_text(json.dumps({
+            "format": "relayauction/scenario-instance", "version": 1,
+            "candidate_positions_m": [[1.0, 1.0]], "h_s": 1e-12, "h_i": [h_i],
+            "h_si": [1.0], "alpha_tilde": [alpha_tilde], "z0_w": 1000.0, "z_w": [1e-12],
+        }))
+        return path
+
+    @pytest.mark.parametrize("h_i", [1e-306, 1e-318])
+    @pytest.mark.parametrize("mechanism", ["cooperative", "spoa", "mspoa"])
+    def test_overflowing_relay_power_is_strict_json(self, mechanism, h_i, tmp_path, capsys):
+        path = self._hopeless_relay_instance(tmp_path, h_i)
+        rc = main(["auction", "--instance", str(path), "--mechanism", mechanism, "--lambda-w", "1000"])
+        out = capsys.readouterr().out
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        record = json.loads(out.strip().splitlines()[-1], parse_constant=reject)
+        assert rc == 0
+        assert record["winner"] == 1
+        assert record["winner_relay_feasible"] is False
+        # Paid its own short schedule, or with h_i subnormal (sigma2/h_i is
+        # inf), the power overflows; paid the source's long one, it is 1e294.
+        overflows = mechanism == "cooperative" or h_i == 1e-318
+        assert (record["winner_relay_p_w"] is None) == overflows
+        outcome = AuctionOutcome.from_record(record)
+        assert outcome.winner_relay_p_w == (math.inf if overflows else record["winner_relay_p_w"])
+
+    def test_overflowing_net_energy_is_numerical_failure(self, tmp_path, capsys):
+        path = self._hopeless_relay_instance(tmp_path, 1.0, alpha_tilde=1e306)
+        rc = main(["auction", "--instance", str(path), "--mechanism", "spoa", "--lambda-w", "1000"])
+        assert rc == 2
+        assert "net energy overflows" in capsys.readouterr().err
 
     def test_unparseable_instance_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

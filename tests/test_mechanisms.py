@@ -1,11 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayauction import (
     AuctionOutcome,
     Bid,
+    ConvergenceError,
     ScenarioInstance,
     StrategyProfile,
     SystemParams,
@@ -101,24 +105,37 @@ class TestTruthfulBid:
 class TestCooperativeBaseline:
     def test_candidate_break_even(self, golden_params):
         inst = _single_candidate_instance(z0=10.0, z1=1.0)
-        out = cooperative_baseline(inst, golden_params)
+        out = cooperative_baseline(truthful_profile(inst, golden_params), inst, golden_params)
         assert out.winner == 1
         assert abs(out.winner_net_energy_j) <= 1e-12
 
     def test_source_wins_when_direct_is_best(self, golden_params):
         inst = _single_candidate_instance(z0=0.5, z1=1.0)
-        out = cooperative_baseline(inst, golden_params)
+        out = cooperative_baseline(truthful_profile(inst, golden_params), inst, golden_params)
         assert out.winner == 0
         assert out.winner_net_energy_j == 0.0
 
     def test_golden_payment_is_winners_own_schedule(self, golden_instance, golden_params):
-        out = cooperative_baseline(golden_instance, golden_params)
+        profile = truthful_profile(golden_instance, golden_params)
+        out = cooperative_baseline(profile, golden_instance, golden_params)
         sol = optimal_schedule(1.0, golden_params)
         assert out.winner == 1
         assert out.runner_up == 2
         assert out.payment_t_s == sol.t_star_s
         assert out.payment_p_w == sol.p_star_w
         assert out.source_cost_ws == pytest.approx(V_OF_1, rel=1e-12)
+        # the winner's bid scores exactly its value: t*(lambda + p) both ways
+        assert out.source_cost_ws == value_of_z(1.0, golden_params)
+
+    def test_pays_the_best_bid_verbatim(self, golden_instance, golden_params):
+        off = Bid(3.0, 0.5, 1)  # scores 4.5, below every truthful bid
+        profile = StrategyProfile(
+            (truthful_bid(10.0, golden_params, 0), off, truthful_bid(2.0, golden_params, 2))
+        )
+        out = cooperative_baseline(profile, golden_instance, golden_params)
+        assert (out.winner, out.runner_up) == (1, 2)
+        assert (out.payment_t_s, out.payment_p_w) == (off.t_s, off.p_tot_w)
+        assert out.source_cost_ws == score(off, golden_params)
 
 
 class TestRunSpoa:
@@ -272,7 +289,7 @@ class TestExPostUtility:
 
     def test_break_even_payment_is_zero(self, golden_params):
         inst = _single_candidate_instance(10.0, 1.0)
-        out = cooperative_baseline(inst, golden_params)
+        out = cooperative_baseline(truthful_profile(inst, golden_params), inst, golden_params)
         assert ex_post_utility(1, out, inst, golden_params) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -369,3 +386,44 @@ class TestIncentiveFuzzSmoke:
 
         res = check_spoa_ne_fuzz(instances=60, deviations=30)
         assert res.passed, res.detail
+
+
+class TestExtremeChannels:
+    @given(
+        n=st.integers(1, 4),
+        log_z0=st.floats(-300.0, 300.0),
+        log_z=st.lists(st.floats(-300.0, 300.0), min_size=4, max_size=4),
+        log_h_i=st.lists(st.floats(-320.0, 300.0), min_size=4, max_size=4),
+        log_h_si=st.lists(st.floats(-300.0, 300.0), min_size=4, max_size=4),
+        log_alpha_tilde=st.lists(st.floats(-300.0, 300.0), min_size=4, max_size=4),
+        log_lam=st.floats(-6.0, 6.0),
+        log_pmax=st.floats(-6.0, 6.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_finite_outcome_or_an_error(
+        self, n, log_z0, log_z, log_h_i, log_h_si, log_alpha_tilde, log_lam, log_pmax
+    ):
+        params = SystemParams(lambda_w=10.0**log_lam, p_max_w=10.0**log_pmax)
+        inst = ScenarioInstance(
+            candidate_positions_m=np.ones((n, 2)),
+            h_s=1.0,
+            h_i=10.0 ** np.array(log_h_i[:n]),
+            h_si=10.0 ** np.array(log_h_si[:n]),
+            alpha_tilde=10.0 ** np.array(log_alpha_tilde[:n]),
+            z0_w=10.0**log_z0,
+            z_w=10.0 ** np.array(log_z[:n]),
+        )
+        try:
+            profile = truthful_profile(inst, params)
+        except (ValueError, ConvergenceError):
+            return
+        for mechanism in (cooperative_baseline, run_spoa, run_mspoa):
+            try:
+                out = mechanism(profile, inst, params)
+            except (ValueError, ConvergenceError):
+                continue
+            assert math.isfinite(out.payment_t_s) and math.isfinite(out.payment_p_w)
+            assert math.isfinite(out.source_cost_ws)
+            assert math.isfinite(out.winner_net_energy_j)
+            assert math.isfinite(out.winner_relay_p_w) or not out.winner_relay_feasible
+            json.dumps(out.to_record(), allow_nan=False)

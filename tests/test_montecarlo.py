@@ -20,6 +20,9 @@ from relayauction import (
 from relayauction.mechanisms import AuctionOutcome
 from relayauction.montecarlo import (
     CSV_HEADER,
+    MECHANISMS,
+    _outcome_metrics,
+    _trial_chunk,
     render_csv,
     run_mechanism,
     trial_rng,
@@ -66,7 +69,7 @@ class TestAggregate:
     def test_single_outcome_identity(self, default_setup):
         geom, chan, params = default_setup
         inst = sample_instance(2, geom, chan, params, np.random.default_rng(1))
-        out = cooperative_baseline(inst, params)
+        out = cooperative_baseline(truthful_profile(inst, params), inst, params)
         cell = aggregate([out], [inst], n=2, lambda_w=params.lambda_w, mechanism="cooperative")
         assert cell.mean_t_s == out.payment_t_s
         assert cell.std_err_t_s == 0.0
@@ -103,7 +106,7 @@ class TestRunSweep:
                           mechanisms=("cooperative",))
         (cell,) = run_sweep(cfg, geom, chan, params)
         inst = sample_instance(2, geom, chan, params, trial_rng(77, 2, 0))
-        out = cooperative_baseline(inst, params)
+        out = cooperative_baseline(truthful_profile(inst, params), inst, params)
         assert cell.mean_t_s == out.payment_t_s
         assert cell.mean_energy_db_mj == pytest.approx(
             10.0 * math.log10(out.payment_t_s * out.payment_p_w * 1e3), rel=1e-12
@@ -150,6 +153,31 @@ class TestRunSweep:
         assert float(row[6]) == cells[0].mean_energy_db_mj
 
 
+class TestSharedProfile:
+    # The chunk loop settles every mechanism on one truthful profile per
+    # (trial, lambda); that must change no bit of any mechanism's result.
+    def test_chunk_matches_one_auction_at_a_time(self, default_setup):
+        geom, chan, params = default_setup
+        lambdas = (1.0, 10.0, 100.0)
+        for n in (1, 3, 6):
+            chunk = _trial_chunk(31, n, 5, 25, lambdas, MECHANISMS, geom, chan, params)
+            for k in range(5, 25):
+                inst = sample_instance(n, geom, chan, params, trial_rng(31, n, k))
+                for j, lam in enumerate(lambdas):
+                    cell = replace(params, lambda_w=lam)
+                    for m, mech in enumerate(MECHANISMS):
+                        want = np.array(_outcome_metrics(run_mechanism(mech, inst, cell)))
+                        assert chunk[k - 5, j, m].tobytes() == want.tobytes(), (n, k, lam, mech)
+
+    def test_mechanism_rows_do_not_depend_on_the_others(self, default_setup):
+        geom, chan, params = default_setup
+        grid = dict(n_values=(1, 2, 5), lambda_values_w=(1.0, 100.0), trials=60, seed=808)
+        alone = render_csv(run_sweep(SweepConfig(mechanisms=("mspoa",), **grid), geom, chan, params))
+        every = render_csv(run_sweep(SweepConfig(mechanisms=MECHANISMS, **grid), geom, chan, params))
+        mspoa_rows = [row for row in every.splitlines()[1:] if row.startswith("mspoa,")]
+        assert alone.splitlines()[1:] == mspoa_rows
+
+
 class TestPerTrialInvariants:
     def test_common_random_numbers_cost_ordering(self, default_setup):
         # Cooperative is the perfect-information optimum; the second-score
@@ -157,8 +185,8 @@ class TestPerTrialInvariants:
         geom, chan, params = default_setup
         for k in range(100):
             inst = sample_instance(3, geom, chan, params, trial_rng(5150, 3, k))
-            coop = cooperative_baseline(inst, params)
             profile = truthful_profile(inst, params)
+            coop = cooperative_baseline(profile, inst, params)
             spoa = run_spoa(profile, inst, params)
             mspoa = run_mspoa(profile, inst, params)
             assert coop.source_cost_ws <= mspoa.source_cost_ws * (1.0 + 1e-8)
