@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import (
+    DEFAULT_CONFIG,
     ConfigError,
     ResolvedConfig,
     RunManifest,
@@ -23,14 +24,11 @@ from .config import (
     resolve_config,
     utc_now,
 )
-from .montecarlo import cells_record, run_mechanism, run_sweep, write_csv
+from .montecarlo import MECHANISMS, cells_record, run_mechanism, run_sweep, write_csv
 from .numerics import ConvergenceError
 from .scenario import ScenarioInstance
 from .schedule import optimal_schedule
 from .verify import run_level
-
-_SYSTEM_OVERRIDES = ("d_bits_per_hz", "lambda_w", "p_max_w", "sigma2_w", "a_r_m2", "alpha")
-
 
 class _UsageError(Exception):
     pass
@@ -44,14 +42,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser):
     parser.add_argument("--config", type=Path, help="JSON config file (defaults apply otherwise)")
-    for name in _SYSTEM_OVERRIDES:
+    for name in DEFAULT_CONFIG["system"]:
         parser.add_argument(f"--{name.replace('_', '-')}", type=float, dest=name)
 
 
 def _resolved(args) -> ResolvedConfig:
     config = load_config(args.config) if args.config else {}
     system = config.setdefault("system", {})
-    for name in _SYSTEM_OVERRIDES:
+    for name in DEFAULT_CONFIG["system"]:
         val = getattr(args, name, None)
         if val is not None:
             system[name] = val
@@ -172,9 +170,7 @@ def _build_parser() -> _Parser:
     p_auction = sub.add_parser("auction", help="run one auction on a stored instance")
     _add_common(p_auction)
     p_auction.add_argument("--instance", type=Path, required=True, help="scenario-instance JSON")
-    p_auction.add_argument(
-        "--mechanism", choices=("cooperative", "spoa", "mspoa"), default="mspoa"
-    )
+    p_auction.add_argument("--mechanism", choices=MECHANISMS, default="mspoa")
     p_auction.set_defaults(func=cmd_auction)
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo sweep to CSV")

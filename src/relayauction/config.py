@@ -1,68 +1,85 @@
 """One JSON config schema shared by every CLI command.
 
-Keys carry their units (lambda_w, sigma2_w, d_bits_per_hz, ...) so a
-misconfigured unit is visible in the file itself. Validation reports every
-violation at once, and resolution echoes each default actually used so the
-run manifest never hides one.
+The four frozen parameter dataclasses are the schema: their fields name the
+keys, their defaults fill the keys left out, their type hints type the
+values and their ``__post_init__`` checks the ranges. Keys carry their
+units (lambda_w, sigma2_w, d_bits_per_hz, ...) so a misconfigured unit is
+visible in the file itself. Validation reports every violation at once, and
+resolution echoes each default actually used so the run manifest never
+hides one.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
+import typing
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
-from .montecarlo import MECHANISMS, SweepConfig
+from .montecarlo import SweepConfig
 from .scenario import ChannelConfig, GeometryConfig
 from .schedule import SystemParams
 
 MANIFEST_FORMAT = "relayauction/run-manifest"
 MANIFEST_VERSION = 1
 
-DEFAULT_CONFIG: dict = {
-    "system": {
-        "d_bits_per_hz": 8.0,
-        "lambda_w": 1.0,
-        "p_max_w": 1.0,
-        "sigma2_w": 1e-9,
-        "a_r_m2": 1e-4,
-        "alpha": 0.2,
-    },
-    "geometry": {
-        "q_s_m": [7.0, 7.0],
-        "blockage_center_m": [3.5, 3.5],
-        "blockage_radius_m": 1.0,
-        "sampling_box_m": [1.5, 6.5, 1.5, 6.5],
-    },
-    "channel": {
-        "k_nlos_db": -25.0,
-        "eta_nlos": 5.76,
-        "k_los_db": 0.0,
-        "eta_los": 2.5,
-    },
-    "sweep": {
-        "n_values": [1, 2, 3, 4, 5, 6, 7, 8],
-        "lambda_values_w": [1.0, 10.0, 100.0],
-        "trials": 5000,
-        "seed": 20260808,
-        "mechanisms": ["cooperative", "mspoa"],
-    },
+SECTIONS = {
+    "system": SystemParams,
+    "geometry": GeometryConfig,
+    "channel": ChannelConfig,
+    "sweep": SweepConfig,
 }
 
-_NUMERIC_KEYS = {
-    ("system", "d_bits_per_hz"),
-    ("system", "lambda_w"),
-    ("system", "p_max_w"),
-    ("system", "sigma2_w"),
-    ("system", "a_r_m2"),
-    ("system", "alpha"),
-    ("geometry", "blockage_radius_m"),
-    ("channel", "k_nlos_db"),
-    ("channel", "eta_nlos"),
-    ("channel", "k_los_db"),
-    ("channel", "eta_los"),
-}
+# Resolved once: typing.get_type_hints costs far more than a whole resolve.
+_HINTS = {section: typing.get_type_hints(cls) for section, cls in SECTIONS.items()}
+
+_FLOAT_MAX = sys.float_info.max
+
+# (singular, plural) wording of each scalar type in error messages.
+_WORDS = {float: ("a finite number", "finite numbers"), int: ("an integer", "integers"),
+          str: ("a string", "strings")}
+
+
+def _as_json(params) -> dict:
+    return {key: list(val) if isinstance(val, tuple) else val for key, val in asdict(params).items()}
+
+
+DEFAULT_CONFIG: dict = {section: _as_json(cls()) for section, cls in SECTIONS.items()}
+
+
+def _convert(hint, val):
+    """``val`` as the type ``hint`` names; raises TypeError if it is not one.
+
+    Booleans are not numbers, floats must be finite (an integer too large
+    for a double is not), integers must be JSON integers, and a tuple hint
+    takes a list of its length (any length for ``tuple[X, ...]``).
+    """
+    if hint is float:
+        if isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) <= _FLOAT_MAX:
+            return float(val)
+    elif hint is int:
+        if isinstance(val, int) and not isinstance(val, bool):
+            return val
+    elif hint is str:
+        if isinstance(val, str):
+            return val
+    elif isinstance(val, (list, tuple)):
+        items = typing.get_args(hint)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(val)
+        if len(items) == len(val):
+            return tuple(_convert(h, v) for h, v in zip(items, val))
+    raise TypeError(val)
+
+
+def _describe(hint) -> str:
+    items = typing.get_args(hint)
+    if not items:
+        return _WORDS[hint][0]
+    if items[-1] is Ellipsis:
+        return f"a list of {_WORDS[items[0]][1]}"
+    return f"a list of {len(items)} {_WORDS[items[0]][1]}"
 
 
 class ConfigError(ValueError):
@@ -81,50 +98,7 @@ class ResolvedConfig:
     sweep: SweepConfig
 
     def as_dict(self) -> dict:
-        return {
-            "system": asdict(self.system),
-            "geometry": {
-                "q_s_m": list(self.geometry.q_s_m),
-                "blockage_center_m": list(self.geometry.blockage_center_m),
-                "blockage_radius_m": self.geometry.blockage_radius_m,
-                "sampling_box_m": list(self.geometry.sampling_box_m),
-            },
-            "channel": asdict(self.channel),
-            "sweep": {
-                "n_values": list(self.sweep.n_values),
-                "lambda_values_w": list(self.sweep.lambda_values_w),
-                "trials": self.sweep.trials,
-                "seed": self.sweep.seed,
-                "mechanisms": list(self.sweep.mechanisms),
-            },
-        }
-
-
-def _check_structure(config: dict, problems: list[str]) -> None:
-    for section in config:
-        if section not in DEFAULT_CONFIG:
-            problems.append(f"unknown section {section!r}")
-            continue
-        if not isinstance(config[section], dict):
-            problems.append(f"section {section!r} must be an object")
-            continue
-        for key, val in config[section].items():
-            if key not in DEFAULT_CONFIG[section]:
-                problems.append(f"unknown key {section}.{key}")
-                continue
-            if (section, key) in _NUMERIC_KEYS and not _is_number(val):
-                problems.append(f"{section}.{key} must be a finite number, got {val!r}")
-
-
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and math.isfinite(val)
-
-
-def _pair(val, name, problems):
-    if not (isinstance(val, (list, tuple)) and len(val) == 2 and all(_is_number(v) for v in val)):
-        problems.append(f"{name} must be a pair of finite numbers, got {val!r}")
-        return (0.0, 0.0)
-    return (float(val[0]), float(val[1]))
+        return {section: _as_json(getattr(self, section)) for section in SECTIONS}
 
 
 def resolve_config(config: dict | None = None) -> ResolvedConfig:
@@ -133,73 +107,33 @@ def resolve_config(config: dict | None = None) -> ResolvedConfig:
     Raises ConfigError listing every violation, not just the first.
     """
     config = config or {}
-    problems: list[str] = []
-    _check_structure(config, problems)
-    # Merge only known keys so value-level validation still runs (and can
-    # report its own problems) even when unknown keys are present.
-    merged = {}
-    for section in DEFAULT_CONFIG:
+    problems = [f"unknown section {section!r}" for section in config if section not in SECTIONS]
+    resolved = {}
+    for section, cls in SECTIONS.items():
         given = config.get(section, {})
-        given = given if isinstance(given, dict) else {}
-        merged[section] = {
-            key: given.get(key, default) for key, default in DEFAULT_CONFIG[section].items()
-        }
-
-    sys_d = merged["system"]
-    geo_d = merged["geometry"]
-    cha_d = merged["channel"]
-    swe_d = merged["sweep"]
-
-    q_s = _pair(geo_d["q_s_m"], "geometry.q_s_m", problems)
-    center = _pair(geo_d["blockage_center_m"], "geometry.blockage_center_m", problems)
-    box = geo_d["sampling_box_m"]
-    if not (isinstance(box, (list, tuple)) and len(box) == 4 and all(_is_number(v) for v in box)):
-        problems.append(f"geometry.sampling_box_m must be [xmin, xmax, ymin, ymax], got {box!r}")
-        box = [0.0, 1.0, 0.0, 1.0]
-
-    system = geometry = channel = sweep = None
-    try:
-        system = SystemParams(
-            d_bits_per_hz=float(sys_d["d_bits_per_hz"]),
-            lambda_w=float(sys_d["lambda_w"]),
-            p_max_w=float(sys_d["p_max_w"]),
-            sigma2_w=float(sys_d["sigma2_w"]),
-            a_r_m2=float(sys_d["a_r_m2"]),
-            alpha=float(sys_d["alpha"]),
-        )
-    except (ValueError, TypeError) as exc:
-        problems.append(f"system: {exc}")
-    try:
-        geometry = GeometryConfig(
-            q_s_m=q_s,
-            blockage_center_m=center,
-            blockage_radius_m=float(geo_d["blockage_radius_m"]),
-            sampling_box_m=tuple(float(v) for v in box),
-        )
-    except (ValueError, TypeError) as exc:
-        problems.append(f"geometry: {exc}")
-    try:
-        channel = ChannelConfig(
-            k_nlos_db=float(cha_d["k_nlos_db"]),
-            eta_nlos=float(cha_d["eta_nlos"]),
-            k_los_db=float(cha_d["k_los_db"]),
-            eta_los=float(cha_d["eta_los"]),
-        )
-    except (ValueError, TypeError) as exc:
-        problems.append(f"channel: {exc}")
-    try:
-        sweep = SweepConfig(
-            n_values=tuple(swe_d["n_values"]),
-            lambda_values_w=tuple(swe_d["lambda_values_w"]),
-            trials=int(swe_d["trials"]),
-            seed=int(swe_d["seed"]),
-            mechanisms=tuple(swe_d["mechanisms"]),
-        )
-    except (ValueError, TypeError) as exc:
-        problems.append(f"sweep: {exc}")
+        if not isinstance(given, dict):
+            problems.append(f"section {section!r} must be an object")
+            continue
+        values = {}
+        typed = True
+        for key, val in given.items():
+            hint = _HINTS[section].get(key)
+            if hint is None:
+                problems.append(f"unknown key {section}.{key}")
+                continue
+            try:
+                values[key] = _convert(hint, val)
+            except TypeError:
+                problems.append(f"{section}.{key} must be {_describe(hint)}, got {val!r}")
+                typed = False
+        if typed:
+            try:
+                resolved[section] = cls(**values)
+            except ValueError as exc:
+                problems.append(f"{section}: {exc}")
     if problems:
         raise ConfigError(problems)
-    return ResolvedConfig(system=system, geometry=geometry, channel=channel, sweep=sweep)
+    return ResolvedConfig(**resolved)
 
 
 def load_config(path) -> dict:
@@ -225,16 +159,7 @@ class RunManifest:
     finished: str
 
     def to_record(self) -> dict:
-        return {
-            "format": MANIFEST_FORMAT,
-            "version": MANIFEST_VERSION,
-            "config_path": self.config_path,
-            "resolved_params": self.resolved_params,
-            "artifact_version": self.artifact_version,
-            "seed": self.seed,
-            "started": self.started,
-            "finished": self.finished,
-        }
+        return {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION, **asdict(self)}
 
 
 def utc_now() -> str:

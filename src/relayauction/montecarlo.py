@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -28,12 +28,6 @@ from .schedule import SystemParams
 MECHANISMS = ("cooperative", "spoa", "mspoa")
 CELLS_FORMAT = "relayauction/sweep-cells"
 RECORD_VERSION = 1
-
-CSV_HEADER = (
-    "mechanism,n,lambda_w,trials,mean_t_s,std_err_t_s,"
-    "mean_energy_db_mj,std_err_energy_db_mj,mean_net_harvest_j,"
-    "std_err_net_harvest_j,win_rate_source"
-)
 
 _CHUNK = 256  # trials per work unit; fixed so job count cannot affect results
 
@@ -56,6 +50,11 @@ class SweepConfig:
             raise ValueError("n_values and lambda_values_w must be non-empty")
         if any(n < 1 for n in self.n_values):
             raise ValueError("every n must be at least 1")
+        # A repeated n would count its trials twice and understate every
+        # standard error; a repeated delay power would duplicate its rows.
+        for name in ("n_values", "lambda_values_w"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError(f"{name} entries must be distinct")
         if not all(0.0 < v < math.inf for v in self.lambda_values_w):
             raise ValueError("every delay power must be strictly positive and finite")
         if not 0 <= self.seed < 2**64:
@@ -67,7 +66,8 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class CellStats:
-    """Aggregates for one (n, lambda_w, mechanism) cell.
+    """Aggregates for one (n, lambda_w, mechanism) cell, fields in CSV
+    column order.
 
     mean_energy_db_mj is 10*log10 of the MEAN source transmit energy in mJ
     (not the mean of per-trial dB values); its standard error is the
@@ -75,49 +75,26 @@ class CellStats:
     the winner's net harvested energy over all trials, zeros included.
     """
 
+    mechanism: str
     n: int
     lambda_w: float
-    mechanism: str
-    mean_t_s: float
-    mean_energy_db_mj: float
-    mean_net_harvest_j: float
-    win_rate_source: float
     trials: int
+    mean_t_s: float
     std_err_t_s: float
+    mean_energy_db_mj: float
     std_err_energy_db_mj: float
+    mean_net_harvest_j: float
     std_err_net_harvest_j: float
+    win_rate_source: float
 
     def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "lambda_w": self.lambda_w,
-            "mechanism": self.mechanism,
-            "mean_t_s": self.mean_t_s,
-            "mean_energy_db_mj": self.mean_energy_db_mj,
-            "mean_net_harvest_j": self.mean_net_harvest_j,
-            "win_rate_source": self.win_rate_source,
-            "trials": self.trials,
-            "std_err_t_s": self.std_err_t_s,
-            "std_err_energy_db_mj": self.std_err_energy_db_mj,
-            "std_err_net_harvest_j": self.std_err_net_harvest_j,
-        }
+        return asdict(self)
 
     def csv_row(self) -> str:
-        return ",".join(
-            [
-                self.mechanism,
-                repr(self.n),
-                repr(self.lambda_w),
-                repr(self.trials),
-                repr(self.mean_t_s),
-                repr(self.std_err_t_s),
-                repr(self.mean_energy_db_mj),
-                repr(self.std_err_energy_db_mj),
-                repr(self.mean_net_harvest_j),
-                repr(self.std_err_net_harvest_j),
-                repr(self.win_rate_source),
-            ]
-        )
+        return ",".join(v if isinstance(v, str) else repr(v) for v in astuple(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(CellStats))
 
 
 def trial_rng(seed: int, n: int, trial: int) -> np.random.Generator:

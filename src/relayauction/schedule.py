@@ -16,9 +16,11 @@ import math
 from dataclasses import dataclass
 
 from . import kernel
-from .numerics import DEFAULT_TOL, ConvergenceError, ToleranceSpec
+from .numerics import DEFAULT_TOL, ConvergenceError
 
 _LN2 = 0.6931471805599453
+# The kernel's trailing solver arguments: (abs_tol, rel_tol, max_iter).
+_SOLVER = (DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol, DEFAULT_TOL.max_iter)
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,7 @@ def min_total_power(t: float, z: float, params: SystemParams) -> float:
     return kernel.min_power(t, z, params.d_bits_per_hz)
 
 
-def optimal_schedule(
-    z: float, params: SystemParams, tol: ToleranceSpec = DEFAULT_TOL
-) -> ScheduleSolution:
+def optimal_schedule(z: float, params: SystemParams) -> ScheduleSolution:
     """Closed-form minimizer of ``cost_function`` over t, subject to the cap.
 
     The unconstrained optimum is D*ln2 / (W0((lambda/z - 1)/e) + 1); the cap
@@ -90,34 +90,20 @@ def optimal_schedule(
     """
     _check_z(z)
     t, p, c, active = kernel.schedule(
-        z,
-        params.d_bits_per_hz,
-        params.lambda_w,
-        params.p_max_w,
-        tol.abs_tol,
-        tol.rel_tol,
-        tol.max_iter,
+        z, params.d_bits_per_hz, params.lambda_w, params.p_max_w, *_SOLVER
     )
     return ScheduleSolution(t, p, c, bool(active))
 
 
-def value_of_z(z: float, params: SystemParams, tol: ToleranceSpec = DEFAULT_TOL) -> float:
+def value_of_z(z: float, params: SystemParams) -> float:
     """Optimal source cost v(z); strictly increasing in z."""
     _check_z(z)
-    return kernel.value(
-        z,
-        params.d_bits_per_hz,
-        params.lambda_w,
-        params.p_max_w,
-        tol.abs_tol,
-        tol.rel_tol,
-        tol.max_iter,
-    )
+    return kernel.value(z, params.d_bits_per_hz, params.lambda_w, params.p_max_w, *_SOLVER)
 
 
-def z_of_value(u: float, params: SystemParams, tol: ToleranceSpec = DEFAULT_TOL) -> float:
+def z_of_value(u: float, params: SystemParams) -> float:
     """Inverse of ``value_of_z``: the z whose optimal cost equals u, to
-    ``|value_of_z(z) - u| <= max(abs_tol, rel_tol*u)``.
+    ``|value_of_z(z) - u| <= max(abs_tol, rel_tol*u)`` of ``DEFAULT_TOL``.
 
     Closed form. Off the cap v = D*ln2*z*e^s with s = W0((lambda/z - 1)/e) + 1;
     eliminating z gives s = a + W0(-e^-a), a = 1 + D*ln2*lambda/u, and
@@ -133,20 +119,19 @@ def z_of_value(u: float, params: SystemParams, tol: ToleranceSpec = DEFAULT_TOL)
     if not 0.0 < u < math.inf:
         raise ValueError(f"value must be strictly positive and finite, got {u!r}")
     d, lam, p_max = params.d_bits_per_hz, params.lambda_w, params.p_max_w
-    solver = (tol.abs_tol, tol.rel_tol, tol.max_iter)
     k = d * _LN2
     a = 1.0 + k * lam / u
-    s = a + kernel.lambert_w0(-math.exp(-a), *solver)
+    s = a + kernel.lambert_w0(-math.exp(-a), *_SOLVER)
     z = u * math.exp(-s) / k
     if not (s > 0.0 and -math.expm1(-s) * u / k <= p_max):
         x = k * (lam + p_max) / u
         z = p_max * math.exp(-x) / -math.expm1(-x) if x > 0.0 else math.inf
     if not 0.0 < z < math.inf:
         raise ValueError(f"no positive finite effective channel has value {u!r}")
-    tol_f = max(tol.abs_tol, tol.rel_tol * u)
-    for _ in range(tol.max_iter):
+    tol_f = max(DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol * u)
+    for _ in range(DEFAULT_TOL.max_iter):
         try:
-            t, p, c, active = kernel.schedule(z, d, lam, p_max, *solver)
+            t, p, c, active = kernel.schedule(z, d, lam, p_max, *_SOLVER)
         except ConvergenceError as exc:
             raise ConvergenceError(f"cannot resolve value {u!r}: {exc}") from None
         if abs(c - u) <= tol_f:
@@ -159,7 +144,9 @@ def z_of_value(u: float, params: SystemParams, tol: ToleranceSpec = DEFAULT_TOL)
             slope = t * p / z
         z_next = z - (c - u) / slope
         z = z_next if z_next > 0.0 else 0.5 * z
-    raise ConvergenceError(f"cannot resolve value {u!r} to tolerance in {tol.max_iter} steps")
+    raise ConvergenceError(
+        f"cannot resolve value {u!r} to tolerance in {DEFAULT_TOL.max_iter} steps"
+    )
 
 
 def _check_z(z: float) -> None:

@@ -211,26 +211,36 @@ def _swap_bid(profile: StrategyProfile, bid) -> StrategyProfile:
     return StrategyProfile(bids)
 
 
-def check_mspoa_ic_fuzz(instances: int = 1000, deviations: int = 200) -> CheckResult:
-    """Truthful bidding must dominate in MSPOA against arbitrary opponents."""
+def _arbitrary_opponents(inst, params, rng, focal) -> StrategyProfile:
+    bids = [truthful_bid(inst.z0_w, params, 0)]
+    for j in range(1, inst.n_candidates + 1):
+        z = float(inst.z_w[j - 1])
+        if j == focal:
+            bids.append(truthful_bid(z, params, j))
+        else:
+            bids.append(sample_deviations(z, params, 1, rng, bidder=j)[0])
+    return StrategyProfile(tuple(bids))
+
+
+def _truthful_opponents(inst, params, rng, focal) -> StrategyProfile:
+    return truthful_profile(inst, params)
+
+
+def _deviation_fuzz(
+    name: str, settle, opponents, seed: int, instances: int, deviations: int
+) -> CheckResult:
+    """The truthful focal bidder against ``deviations`` of its own bids,
+    on the profile ``opponents`` builds, settled by ``settle``."""
     t0 = time.perf_counter()
     violations = 0
     worst = 0.0
     for k in range(instances):
-        inst, params, rng, focal = _fuzz_setup(k, seed=511)
-        bids = [truthful_bid(inst.z0_w, params, 0)]
-        for j in range(1, inst.n_candidates + 1):
-            if j == focal:
-                bids.append(truthful_bid(float(inst.z_w[j - 1]), params, j))
-            else:
-                bids.append(
-                    sample_deviations(float(inst.z_w[j - 1]), params, 1, rng, bidder=j)[0]
-                )
-        profile = StrategyProfile(tuple(bids))
-        u_truth = ex_post_utility(focal, run_mspoa(profile, inst, params), inst, params)
+        inst, params, rng, focal = _fuzz_setup(k, seed)
+        profile = opponents(inst, params, rng, focal)
+        u_truth = ex_post_utility(focal, settle(profile, inst, params), inst, params)
         z_focal = float(inst.z_w[focal - 1])
         for dev in sample_deviations(z_focal, params, deviations, rng, bidder=focal):
-            u_dev = ex_post_utility(focal, run_mspoa(_swap_bid(profile, dev), inst, params), inst, params)
+            u_dev = ex_post_utility(focal, settle(_swap_bid(profile, dev), inst, params), inst, params)
             gap = u_dev - u_truth
             worst = max(worst, gap)
             if gap > 1e-9:
@@ -238,7 +248,7 @@ def check_mspoa_ic_fuzz(instances: int = 1000, deviations: int = 200) -> CheckRe
     elapsed = time.perf_counter() - t0
     passed = violations == 0 and elapsed < 120.0
     return _result(
-        "mspoa-incentive-compatibility-fuzz",
+        name,
         t0,
         passed,
         f"{instances} instances x {deviations} deviations, {violations} violations, "
@@ -246,30 +256,19 @@ def check_mspoa_ic_fuzz(instances: int = 1000, deviations: int = 200) -> CheckRe
     )
 
 
+def check_mspoa_ic_fuzz(instances: int = 1000, deviations: int = 200) -> CheckResult:
+    """Truthful bidding must dominate in MSPOA against arbitrary opponents."""
+    return _deviation_fuzz(
+        "mspoa-incentive-compatibility-fuzz", run_mspoa, _arbitrary_opponents, 511,
+        instances, deviations,
+    )
+
+
 def check_spoa_ne_fuzz(instances: int = 1000, deviations: int = 200) -> CheckResult:
     """No profitable unilateral deviation in SPOA when opponents are truthful."""
-    t0 = time.perf_counter()
-    violations = 0
-    worst = 0.0
-    for k in range(instances):
-        inst, params, rng, focal = _fuzz_setup(k, seed=1823)
-        profile = truthful_profile(inst, params)
-        u_truth = ex_post_utility(focal, run_spoa(profile, inst, params), inst, params)
-        z_focal = float(inst.z_w[focal - 1])
-        for dev in sample_deviations(z_focal, params, deviations, rng, bidder=focal):
-            u_dev = ex_post_utility(focal, run_spoa(_swap_bid(profile, dev), inst, params), inst, params)
-            gap = u_dev - u_truth
-            worst = max(worst, gap)
-            if gap > 1e-9:
-                violations += 1
-    elapsed = time.perf_counter() - t0
-    passed = violations == 0 and elapsed < 120.0
-    return _result(
-        "spoa-nash-equilibrium-fuzz",
-        t0,
-        passed,
-        f"{instances} instances x {deviations} deviations, {violations} violations, "
-        f"worst gain {worst:.2e} J, {elapsed:.1f}s",
+    return _deviation_fuzz(
+        "spoa-nash-equilibrium-fuzz", run_spoa, _truthful_opponents, 1823,
+        instances, deviations,
     )
 
 

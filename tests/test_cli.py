@@ -1,10 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from relayauction import AuctionOutcome, SystemParams, optimal_schedule
 from relayauction.cli import main
+from relayauction.config import DEFAULT_CONFIG, resolve_config
 from relayauction.verify import CheckResult
 
 
@@ -192,6 +194,13 @@ class TestSweep:
             ('{"geometry": {"q_s_m": [7.0, NaN]}}', []),
             ('{"sweep": {"lambda_values_w": [1.0, Infinity]}}', []),
             ("{}", ["--lambda-w", "inf"]),
+            ('{"sweep": {"trials": 2.7}}', []),
+            ('{"sweep": {"trials": "5"}}', []),
+            ('{"system": {"lambda_w": true}}', []),
+            ('{"sweep": {"seed": true}}', []),
+            ('{"sweep": {"n_values": [1.5]}}', []),
+            ('{"geometry": {"q_s_m": [7.0]}}', []),
+            ('{"sweep": {"n_values": [1, 1]}}', []),
         ],
     )
     def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, config_text, flags):
@@ -199,12 +208,37 @@ class TestSweep:
         path.write_text(config_text)
         rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"), *flags])
         assert rc == 1
-        assert "invalid configuration" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        for keys in json.loads(config_text).values():
+            assert all(key in err for key in keys)
 
     def test_invalid_json_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
+
+class TestConfigSchema:
+    def test_defaults_round_trip(self):
+        assert resolve_config({}).as_dict() == DEFAULT_CONFIG
+
+    def test_resolved_config_round_trips(self):
+        resolved = resolve_config({
+            "system": {"d_bits_per_hz": 4, "lambda_w": 3.5, "alpha": 1.0},
+            "geometry": {"q_s_m": [8, 6.5], "sampling_box_m": [1.0, 7.0, 1.0, 7.0]},
+            "channel": {"k_los_db": -1.5, "eta_los": 2},
+            "sweep": {"n_values": [3, 1], "lambda_values_w": [5], "trials": 7, "seed": 0,
+                      "mechanisms": ["spoa"]},
+        })
+        assert resolved.system.d_bits_per_hz == 4.0 and resolved.geometry.q_s_m == (8.0, 6.5)
+        assert resolve_config(resolved.as_dict()) == resolved
+        assert json.loads(json.dumps(resolved.as_dict())) == resolved.as_dict()
+
+    def test_readme_schema_block_is_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == DEFAULT_CONFIG
 
 
 class TestNumericalFailureExitCode:

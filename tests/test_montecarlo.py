@@ -58,6 +58,8 @@ class TestSweepConfig:
             dict(mechanisms=()),
             dict(seed=-1),
             dict(seed=2**64),
+            dict(n_values=(1, 1)),
+            dict(lambda_values_w=(1.0, 10.0, 1.0)),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
