@@ -17,13 +17,13 @@ from pathlib import Path
 from . import __version__
 from .config import (
     DEFAULT_CONFIG,
-    ConfigError,
     ResolvedConfig,
     RunManifest,
     load_config,
     resolve_config,
     utc_now,
 )
+from .jsonio import write
 from .montecarlo import MECHANISMS, cells_record, run_mechanism, run_sweep, write_csv
 from .numerics import ConvergenceError
 from .scenario import ScenarioInstance
@@ -48,15 +48,12 @@ def _add_common(parser):
 
 def _resolved(args) -> ResolvedConfig:
     config = load_config(args.config) if args.config else {}
-    system = config.setdefault("system", {})
-    for name in DEFAULT_CONFIG["system"]:
-        val = getattr(args, name, None)
-        if val is not None:
-            system[name] = val
-    if getattr(args, "seed", None) is not None:
-        config.setdefault("sweep", {})["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        config.setdefault("sweep", {})["trials"] = args.trials
+    for section, names in (("system", DEFAULT_CONFIG["system"]), ("sweep", ("seed", "trials"))):
+        given = config.setdefault(section, {})
+        for name in names:
+            # A section that is not an object is left for resolve_config to report.
+            if getattr(args, name, None) is not None and isinstance(given, dict):
+                given[name] = getattr(args, name)
     return resolve_config(config)
 
 
@@ -70,21 +67,9 @@ def cmd_solve(args) -> int:
     if args.z is None or not args.z > 0.0:
         raise _UsageError(f"--z must be a strictly positive effective channel, got {args.z!r}")
     sol = optimal_schedule(args.z, resolved.system)
-    print(f"t_star_s           = {sol.t_star_s!r}")
-    print(f"p_star_w           = {sol.p_star_w!r}")
-    print(f"cost_ws            = {sol.cost_ws!r}")
-    print(f"constraint_active  = {sol.constraint_active}")
-    _emit_record(
-        {
-            "format": "relayauction/schedule-solution",
-            "version": 1,
-            "z_w": args.z,
-            "t_star_s": sol.t_star_s,
-            "p_star_w": sol.p_star_w,
-            "cost_ws": sol.cost_ws,
-            "constraint_active": sol.constraint_active,
-        }
-    )
+    for name, val in vars(sol).items():
+        print(f"{name:<18} = {val!r}")
+    _emit_record(write(sol, format="relayauction/schedule-solution", version=1, z_w=args.z))
     return 0
 
 
@@ -93,15 +78,9 @@ def cmd_auction(args) -> int:
     with open(args.instance) as fh:
         inst = ScenarioInstance.from_record(json.load(fh))
     outcome = run_mechanism(args.mechanism, inst, resolved.system)
-    print(f"mechanism            = {args.mechanism}")
-    print(f"winner               = {outcome.winner}")
-    print(f"runner_up            = {outcome.runner_up}")
-    print(f"payment_t_s          = {outcome.payment_t_s!r}")
-    print(f"payment_p_w          = {outcome.payment_p_w!r}")
-    print(f"source_cost_ws       = {outcome.source_cost_ws!r}")
-    print(f"winner_net_energy_j  = {outcome.winner_net_energy_j!r}")
-    print(f"winner_relay_p_w     = {outcome.winner_relay_p_w!r}")
-    print(f"winner_relay_feasible = {outcome.winner_relay_feasible}")
+    print(f"{'mechanism':<20} = {args.mechanism}")
+    for name, val in vars(outcome).items():
+        print(f"{name:<20} = {val!r}")
     _emit_record({"mechanism": args.mechanism, **outcome.to_record()})
     return 0
 
@@ -148,10 +127,7 @@ def cmd_verify(args) -> int:
             "level": args.level,
             "passed": len(results) - len(failed),
             "failed": len(failed),
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail, "seconds": round(r.seconds, 3)}
-                for r in results
-            ],
+            "checks": [{**write(r), "seconds": round(r.seconds, 3)} for r in results],
         }
     )
     return 3 if failed else 0
@@ -193,13 +169,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, FloatingPointError, OverflowError) as exc:

@@ -1,0 +1,127 @@
+"""One JSON reader and one writer for the package's dataclasses.
+
+``read`` types a JSON value by a type hint, field by field for a dataclass,
+by the same rules for a config section as for a stored record (the README's
+"Config schema" lists them). A field with no default must be present, keys
+that name no field are ignored, and every problem is collected, the
+dataclass's own ``ValueError`` included. ``write`` is the inverse: fields
+as JSON values, tuples and arrays as lists, non-finite floats as null.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import sys
+import typing
+from dataclasses import MISSING, asdict, fields, is_dataclass
+
+import numpy as np
+
+Points = typing.NewType("Points", np.ndarray)  # an (n, 2) float array
+MaybeInf = typing.NewType("MaybeInf", float)  # a float that may be +inf, null in JSON
+
+_FLOAT_MAX = sys.float_info.max
+
+# The JSON list each array hint is read from, and the array's shape.
+_ARRAYS = {np.ndarray: (tuple[float, ...], (-1,)), Points: (tuple[tuple[float, float], ...], (-1, 2))}
+
+_WORDS = {float: "a finite number", MaybeInf: "a finite number or null", int: "an integer",
+          bool: "true or false", str: "a string", np.ndarray: "a list of finite numbers",
+          Points: "a list of [x, y] pairs"}
+
+# Cached per class: get_type_hints costs more than a whole read.
+_hints = functools.cache(typing.get_type_hints)
+
+
+class FieldErrors(ValueError):
+    """Every problem found reading one JSON value, one line each."""
+
+    def __init__(self, what: str, problems: list[str]):
+        self.problems = list(problems)
+        super().__init__(f"invalid {what}:\n" + "\n".join(f"  - {p}" for p in self.problems))
+
+
+def _describe(hint) -> str:
+    if hint in _WORDS:
+        return _WORDS[hint]
+    if is_dataclass(hint):
+        return "an object"
+    items = typing.get_args(hint)
+    return "a list" if items[-1] is Ellipsis else f"a list of length {len(items)}"
+
+
+def read(hint, val, where: str, problems: list[str]):
+    """``val`` as the type ``hint`` names. If it is not one, appends a line
+    per problem, naming ``where``, to ``problems`` and returns None."""
+    start = len(problems)
+    if hint is MaybeInf and val is None:
+        return math.inf
+    if hint is float or hint is MaybeInf:
+        if isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) <= _FLOAT_MAX:
+            return float(val)
+    elif hint is int:
+        if isinstance(val, int) and not isinstance(val, bool):
+            return val
+    elif hint is str or hint is bool:
+        if isinstance(val, hint):
+            return val
+    elif is_dataclass(hint):
+        if isinstance(val, dict):
+            hints, values = _hints(hint), {}
+            for f in fields(hint):
+                if f.name in val:
+                    values[f.name] = read(hints[f.name], val[f.name], f"{where}.{f.name}", problems)
+                elif f.default is MISSING and f.default_factory is MISSING:
+                    problems.append(f"{where}.{f.name} is missing")
+            if len(problems) > start:
+                return None
+            try:
+                return hint(**values)
+            except ValueError as exc:
+                problems.append(f"{where}: {exc}")
+                return None
+    elif isinstance(val, (list, tuple)):
+        list_hint, shape = _ARRAYS.get(hint, (hint, None))
+        items = typing.get_args(list_hint)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(val)
+        if len(items) == len(val):
+            out = tuple(read(h, v, f"{where}[{i}]", problems) for i, (h, v) in enumerate(zip(items, val)))
+            if len(problems) > start:
+                return None
+            return out if shape is None else np.array(out, float).reshape(shape)
+    problems.append(f"{where} must be {_describe(hint)}, got {val!r}")
+    return None
+
+
+def read_record(cls, record, format: str, version: int):
+    """A ``cls`` read from a record that ``write`` headed with ``format`` and
+    ``version``; raises ValueError, listing every problem of the fields."""
+    kind = format.rsplit("/", 1)[-1]
+    if not isinstance(record, dict):
+        raise ValueError(f"not a {kind} record: the top level must be a JSON object")
+    if record.get("format") != format:
+        raise ValueError(f"not a {kind} record: {record.get('format')!r}")
+    if record.get("version") != version:
+        raise ValueError(f"unsupported record version {record.get('version')!r}")
+    problems: list[str] = []
+    out = read(cls, record, kind, problems)
+    if problems:
+        raise FieldErrors(f"{kind} record", problems)
+    return out
+
+
+def _plain(val):
+    if isinstance(val, np.ndarray):
+        val = val.tolist()
+    if isinstance(val, dict):
+        return {key: _plain(v) for key, v in val.items()}
+    if isinstance(val, (list, tuple)):
+        return [_plain(v) for v in val]
+    return None if isinstance(val, float) and not math.isfinite(val) else val
+
+
+def write(obj, **header) -> dict:
+    """The ``header`` keys, then the dataclass ``obj``'s fields as JSON values."""
+    return {**header, **_plain(asdict(obj))}

@@ -24,10 +24,11 @@ optimization.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import MaybeInf, read_record, write
 from .numerics import ConvergenceError
 from .scenario import ScenarioInstance
 from .schedule import (
@@ -64,13 +65,6 @@ class Bid:
         if self.bidder < 0:
             raise ValueError("bidder index must be non-negative")
 
-    def to_record(self) -> dict:
-        return {"t_s": self.t_s, "p_tot_w": self.p_tot_w, "bidder": self.bidder}
-
-    @classmethod
-    def from_record(cls, record: dict) -> "Bid":
-        return cls(float(record["t_s"]), float(record["p_tot_w"]), int(record["bidder"]))
-
 
 @dataclass(frozen=True)
 class StrategyProfile:
@@ -87,19 +81,11 @@ class StrategyProfile:
             raise ValueError("bidder indices must be unique")
 
     def to_record(self) -> dict:
-        return {
-            "format": PROFILE_FORMAT,
-            "version": RECORD_VERSION,
-            "bids": [b.to_record() for b in self.bids],
-        }
+        return write(self, format=PROFILE_FORMAT, version=RECORD_VERSION)
 
     @classmethod
     def from_record(cls, record: dict) -> "StrategyProfile":
-        if record.get("format") != PROFILE_FORMAT:
-            raise ValueError(f"not a strategy-profile record: {record.get('format')!r}")
-        if record.get("version") != RECORD_VERSION:
-            raise ValueError(f"unsupported record version {record.get('version')!r}")
-        return cls(tuple(Bid.from_record(b) for b in record["bids"]))
+        return read_record(cls, record, PROFILE_FORMAT, RECORD_VERSION)
 
 
 @dataclass(frozen=True)
@@ -115,37 +101,20 @@ class AuctionOutcome:
     """
 
     winner: int
+    runner_up: int
     payment_t_s: float
     payment_p_w: float
     source_cost_ws: float
     winner_net_energy_j: float
-    runner_up: int
-    winner_relay_p_w: float = 0.0
+    winner_relay_p_w: MaybeInf = 0.0
     winner_relay_feasible: bool = True
 
     def to_record(self) -> dict:
-        record = {"format": OUTCOME_FORMAT, "version": RECORD_VERSION, **asdict(self)}
-        if not self.winner_relay_p_w < math.inf:
-            record["winner_relay_p_w"] = None
-        return record
+        return write(self, format=OUTCOME_FORMAT, version=RECORD_VERSION)
 
     @classmethod
     def from_record(cls, record: dict) -> "AuctionOutcome":
-        if record.get("format") != OUTCOME_FORMAT:
-            raise ValueError(f"not an auction-outcome record: {record.get('format')!r}")
-        if record.get("version") != RECORD_VERSION:
-            raise ValueError(f"unsupported record version {record.get('version')!r}")
-        relay_p = record.get("winner_relay_p_w", 0.0)
-        return cls(
-            winner=int(record["winner"]),
-            payment_t_s=float(record["payment_t_s"]),
-            payment_p_w=float(record["payment_p_w"]),
-            source_cost_ws=float(record["source_cost_ws"]),
-            winner_net_energy_j=float(record["winner_net_energy_j"]),
-            runner_up=int(record["runner_up"]),
-            winner_relay_p_w=math.inf if relay_p is None else float(relay_p),
-            winner_relay_feasible=bool(record.get("winner_relay_feasible", True)),
-        )
+        return read_record(cls, record, OUTCOME_FORMAT, RECORD_VERSION)
 
 
 def score(b: Bid, params: SystemParams) -> float:

@@ -41,27 +41,34 @@ class SweepConfig:
     mechanisms: tuple[str, ...] = ("cooperative", "mspoa")
 
     def __post_init__(self):
+        # Integers are checked, not truncated: int(1.5) would silently run n = 1.
+        integers = (*self.n_values, self.trials, self.seed)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in integers):
+            raise ValueError("n_values entries, trials and seed must be integers")
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "lambda_values_w", tuple(float(v) for v in self.lambda_values_w))
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
+        problems = []
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            problems.append("trials must be at least 1")
         if not self.n_values or not self.lambda_values_w:
-            raise ValueError("n_values and lambda_values_w must be non-empty")
+            problems.append("n_values and lambda_values_w must be non-empty")
         if any(n < 1 for n in self.n_values):
-            raise ValueError("every n must be at least 1")
+            problems.append("every n must be at least 1")
         # A repeated n would count its trials twice and understate every
         # standard error; a repeated delay power would duplicate its rows.
         for name in ("n_values", "lambda_values_w"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
-                raise ValueError(f"{name} entries must be distinct")
+                problems.append(f"{name} entries must be distinct")
         if not all(0.0 < v < math.inf for v in self.lambda_values_w):
-            raise ValueError("every delay power must be strictly positive and finite")
+            problems.append("every delay power must be strictly positive and finite")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+            problems.append("seed must fit in 64 bits")
         unknown = set(self.mechanisms) - set(MECHANISMS)
         if unknown or not self.mechanisms:
-            raise ValueError(f"mechanisms must be a non-empty subset of {MECHANISMS}")
+            problems.append(f"mechanisms must be a non-empty subset of {MECHANISMS}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonio import Points, read_record, write
 from .schedule import SystemParams
 
 RECORD_FORMAT = "relayauction/scenario-instance"
@@ -36,18 +37,21 @@ class GeometryConfig:
     sampling_box_m: tuple[float, float, float, float] = (1.5, 6.5, 1.5, 6.5)
 
     def __post_init__(self):
+        problems = []
         if not self.blockage_radius_m > 0.0:
-            raise ValueError("blockage_radius_m must be strictly positive")
+            problems.append("blockage_radius_m must be strictly positive")
         xmin, xmax, ymin, ymax = self.sampling_box_m
         if not (xmax > xmin and ymax > ymin):
-            raise ValueError("sampling_box_m must have positive area")
+            problems.append("sampling_box_m must have positive area")
         r2 = self.blockage_radius_m**2
         cx, cy = self.blockage_center_m
         if cx * cx + cy * cy <= r2:
-            raise ValueError("access point (origin) must lie outside the blockage disc")
+            problems.append("access point (origin) must lie outside the blockage disc")
         qx, qy = self.q_s_m
         if (qx - cx) ** 2 + (qy - cy) ** 2 <= r2:
-            raise ValueError("source position must lie outside the blockage disc")
+            problems.append("source position must lie outside the blockage disc")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ class ScenarioInstance:
     z0 = sigma2 / h_s and z[i] = sigma2 * (1/h_si[i] + 1/(alpha_tilde[i]*h_i[i])).
     """
 
-    candidate_positions_m: np.ndarray
+    candidate_positions_m: Points
     h_s: float
     h_i: np.ndarray
     h_si: np.ndarray
@@ -84,19 +88,19 @@ class ScenarioInstance:
     z_w: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "candidate_positions_m", np.asarray(self.candidate_positions_m, float)
-        )
-        for name in ("h_i", "h_si", "alpha_tilde", "z_w"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-        n = len(self.candidate_positions_m)
-        if not (len(self.h_i) == len(self.h_si) == len(self.alpha_tilde) == len(self.z_w) == n):
-            raise ValueError("per-candidate arrays must share one length")
+        pos = np.asarray(self.candidate_positions_m, float)
+        object.__setattr__(self, "candidate_positions_m", pos)
+        if pos.ndim != 2 or pos.shape[1] != 2:
+            raise ValueError(f"candidate_positions_m must be a list of [x, y] pairs, got shape {pos.shape}")
+        n = len(pos)
         if not (self.h_s > 0.0 and self.z0_w > 0.0):
             raise ValueError("source channel and z0 must be strictly positive")
         for name in ("h_i", "h_si", "alpha_tilde", "z_w"):
-            arr = getattr(self, name)
-            if len(arr) and not (arr > 0.0).all():
+            arr = np.asarray(getattr(self, name), float)
+            object.__setattr__(self, name, arr)
+            if arr.shape != (n,):
+                raise ValueError(f"{name} must have one entry per candidate position, got shape {arr.shape}")
+            if n and not (arr > 0.0).all():
                 raise ValueError(f"{name} entries must be strictly positive")
 
     @property
@@ -104,33 +108,11 @@ class ScenarioInstance:
         return len(self.z_w)
 
     def to_record(self) -> dict:
-        return {
-            "format": RECORD_FORMAT,
-            "version": RECORD_VERSION,
-            "candidate_positions_m": self.candidate_positions_m.tolist(),
-            "h_s": self.h_s,
-            "h_i": self.h_i.tolist(),
-            "h_si": self.h_si.tolist(),
-            "alpha_tilde": self.alpha_tilde.tolist(),
-            "z0_w": self.z0_w,
-            "z_w": self.z_w.tolist(),
-        }
+        return write(self, format=RECORD_FORMAT, version=RECORD_VERSION)
 
     @classmethod
     def from_record(cls, record: dict) -> "ScenarioInstance":
-        if record.get("format") != RECORD_FORMAT:
-            raise ValueError(f"not a scenario-instance record: {record.get('format')!r}")
-        if record.get("version") != RECORD_VERSION:
-            raise ValueError(f"unsupported record version {record.get('version')!r}")
-        return cls(
-            candidate_positions_m=np.array(record["candidate_positions_m"], float),
-            h_s=float(record["h_s"]),
-            h_i=np.array(record["h_i"], float),
-            h_si=np.array(record["h_si"], float),
-            alpha_tilde=np.array(record["alpha_tilde"], float),
-            z0_w=float(record["z0_w"]),
-            z_w=np.array(record["z_w"], float),
-        )
+        return read_record(cls, record, RECORD_FORMAT, RECORD_VERSION)
 
 
 def _segments_clear(points: np.ndarray, endpoint: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

@@ -43,11 +43,15 @@ class SystemParams:
     alpha: float = 0.2
 
     def __post_init__(self):
-        for name in ("d_bits_per_hz", "lambda_w", "p_max_w", "sigma2_w", "a_r_m2", "alpha"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"SystemParams.{name} must be strictly positive")
+        problems = [
+            f"SystemParams.{name} must be strictly positive"
+            for name in ("d_bits_per_hz", "lambda_w", "p_max_w", "sigma2_w", "a_r_m2", "alpha")
+            if not getattr(self, name) > 0.0
+        ]
         if self.alpha > 1.0:
-            raise ValueError("SystemParams.alpha must not exceed 1")
+            problems.append("SystemParams.alpha must not exceed 1")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)

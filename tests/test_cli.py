@@ -122,10 +122,26 @@ class TestAuction:
         assert rc == 2
         assert "net energy overflows" in capsys.readouterr().err
 
-    def test_unparseable_instance_fails_cleanly(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "change,named",
+        [
+            pytest.param(lambda r: {"format": "wrong"}, "scenario-instance", id="wrong-format"),
+            pytest.param(lambda r: {k: v for k, v in r.items() if k != "z_w"}, "z_w", id="missing-z_w"),
+            pytest.param(lambda r: [r], "JSON object", id="top-level-list"),
+            pytest.param(lambda r: {**r, "h_s": "0.1"}, "h_s", id="string-h_s"),
+            pytest.param(lambda r: {**r, "h_i": [True]}, "h_i", id="boolean-h_i"),
+            pytest.param(lambda r: {**r, "z_w": [[1.0]]}, "z_w", id="nested-z_w"),
+            pytest.param(lambda r: {**r, "candidate_positions_m": [[1.0, 1.0], [2.0]]},
+                         "candidate_positions_m", id="position-not-a-pair"),
+            pytest.param(lambda r: {**r, "z_w": [1.0]}, "z_w", id="short-z_w"),
+            pytest.param(lambda r: {**r, "version": 2}, "version", id="wrong-version"),
+        ],
+    )
+    def test_unparseable_instance_fails_cleanly(self, golden_instance, tmp_path, capsys, change, named):
         path = tmp_path / "broken.json"
-        path.write_text("{\"format\": \"wrong\"}")
+        path.write_text(json.dumps(change(golden_instance.to_record())))
         assert main(["auction", "--instance", str(path)] + GOLDEN_FLAGS) == 1
+        assert named in capsys.readouterr().err
 
     def test_missing_file_fails_cleanly(self, tmp_path):
         assert main(["auction", "--instance", str(tmp_path / "nope.json")] + GOLDEN_FLAGS) == 1
@@ -185,7 +201,8 @@ class TestSweep:
         assert rc == 1
         assert "nonsense_key" in err
         assert "trials" in err or "sweep" in err
-        assert "system" in err
+        # Both of the section's range problems, not just the first.
+        assert "lambda_w" in err and "alpha" in err
 
     @pytest.mark.parametrize(
         "config_text,flags",
@@ -212,6 +229,17 @@ class TestSweep:
         assert "invalid configuration" in err
         for keys in json.loads(config_text).values():
             assert all(key in err for key in keys)
+
+    @pytest.mark.parametrize(
+        "config_text,flags",
+        [('{"system": 3}', ["--lambda-w", "2"]), ('{"sweep": []}', ["--seed", "3"])],
+    )
+    def test_section_not_an_object_with_flag_overrides(self, tmp_path, capsys, config_text, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(config_text)
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"), *flags])
+        assert rc == 1
+        assert next(iter(json.loads(config_text))) in capsys.readouterr().err
 
     def test_invalid_json_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

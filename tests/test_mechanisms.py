@@ -74,6 +74,14 @@ class TestBidAndProfile:
         outcome = run_spoa(profile, golden_instance, golden_params)
         assert AuctionOutcome.from_record(outcome.to_record()) == outcome
 
+    def test_profile_record_names_every_bad_bid(self, golden_instance, golden_params):
+        record = truthful_profile(golden_instance, golden_params).to_record()
+        record["bids"][0]["t_s"] = "1.0"
+        del record["bids"][2]["bidder"]
+        with pytest.raises(ValueError) as err:
+            StrategyProfile.from_record(record)
+        assert "bids[0].t_s" in str(err.value) and "bids[2].bidder" in str(err.value)
+
 
 class TestScore:
     def test_unit_bid(self, golden_params):

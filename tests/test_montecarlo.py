@@ -60,11 +60,17 @@ class TestSweepConfig:
             dict(seed=2**64),
             dict(n_values=(1, 1)),
             dict(lambda_values_w=(1.0, 10.0, 1.0)),
+            dict(n_values=(1.5,)),
+            dict(trials=2.7),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
+
+    def test_numpy_integers_are_plain_ints(self):
+        cfg = SweepConfig(n_values=(np.int64(2), np.int32(3)), trials=np.int64(4))
+        assert cfg.n_values == (2, 3) and all(type(n) is int for n in cfg.n_values)
 
 
 class TestAggregate:

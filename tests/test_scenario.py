@@ -189,6 +189,20 @@ class TestInstances:
         assert np.array_equal(back.z_w, inst.z_w)
         assert np.array_equal(back.candidate_positions_m, inst.candidate_positions_m)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(z_w=np.array([[1.0, 2.0]])),
+            dict(h_i=np.array([1.0])),
+            dict(candidate_positions_m=np.ones((2, 3))),
+            dict(candidate_positions_m=np.ones(2)),
+        ],
+    )
+    def test_rejects_misshapen_arrays(self, golden_instance, changes):
+        fields = {**vars(golden_instance), **changes}
+        with pytest.raises(ValueError, match=next(iter(changes))):
+            ScenarioInstance(**fields)
+
     def test_record_format_guard(self):
         with pytest.raises(ValueError, match="scenario-instance"):
             ScenarioInstance.from_record({"format": "something-else", "version": 1})
