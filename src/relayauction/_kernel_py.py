@@ -3,13 +3,24 @@
 The hot entry points are ``lambert_w0``, ``schedule`` (closed-form optimum
 for one effective channel) and ``value`` (its cost). The inverse of the
 value map is a closed form on top of these, in ``schedule.z_of_value``.
+
+``schedules`` and ``min_powers`` are their numpy twins over an array of
+channels, for the sweep's chunks: the same initial guesses, branch-point
+series, Halley stopping rule and cap tie, element by element. They agree
+with the scalar kernel to numpy's last-bit differences in ``exp``,
+``expm1`` and ``log1p``: cost to rel 1e-14, duration and power to rel 1e-9
+(the Lambert conditioning near the branch point), and the same cap flags.
+A one-element array call costs far more than the scalar call, so single
+auctions stay on the scalar kernel, which is the reference.
 """
 
 from __future__ import annotations
 
 import math
 
-from .numerics import ConvergenceError, _lambert_core
+import numpy as np
+
+from .numerics import _E, _NEG_INV_E, ConvergenceError, ScheduleOverflow, _lambert_core
 
 BACKEND = "python"
 
@@ -37,7 +48,7 @@ def schedule(z, d, lam, p_max, abs_tol, rel_tol, max_iter):
     """Closed-form minimizer of t*(lam + (2^(d/t)-1)*z) s.t. power <= p_max.
 
     Returns ``(t, p, cost, active)`` where active=1 when the power cap binds
-    (ties within rel 1e-12 count as active). Raises ConvergenceError when
+    (ties within rel 1e-12 count as active). Raises ScheduleOverflow when
     the cost is not finite, i.e. the cap duration overflows for huge z.
     """
     r = lam / z
@@ -60,9 +71,67 @@ def schedule(z, d, lam, p_max, abs_tol, rel_tol, max_iter):
     p = p_max if active else min_power(t, z, d)
     c = t * (lam + p)
     if not math.isfinite(c):
-        raise ConvergenceError(f"no finite schedule for z={z!r}")
+        raise ScheduleOverflow(f"no finite schedule for z={z!r}")
     return t, p, c, 1 if active else 0
 
 
 def value(z, d, lam, p_max, abs_tol, rel_tol, max_iter):
     return schedule(z, d, lam, p_max, abs_tol, rel_tol, max_iter)[2]
+
+
+def min_powers(t, z, d):
+    """``min_power`` elementwise over arrays; inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.expm1(d * _LN2 / t) * z
+
+
+def _lambert_w0s(x, abs_tol, rel_tol, max_iter):
+    # _lambert_core over an array with every x >= -1/e: the series below
+    # -1/e + 1e-6, elsewhere Halley steps until each element meets the
+    # scalar's residual test. A converged element's w no longer changes,
+    # so neither does its residual.
+    p = np.sqrt(2.0 * (_E * x + 1.0))
+    series = -1.0 + p * (1.0 + p * (-0.3333333333333333 + p * 0.1527777777777778))
+    l1 = np.log(x)
+    l2 = np.log(l1)
+    w = np.where(x < _E, series, l1 - l2 + l2 / l1)
+    fixed = x < _NEG_INV_E + 1e-6
+    ax = np.abs(x)
+    tol_f = np.where(abs_tol > rel_tol * ax, abs_tol, rel_tol * ax)
+    for _ in range(max_iter):
+        ew = np.exp(w)
+        f = w * ew - x
+        done = fixed | (np.abs(f) <= tol_f)
+        if done.all():
+            return w
+        wp1 = w + 1.0
+        w = np.where(done, w, w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1)))
+    bad = x[~done][0]
+    raise ConvergenceError(f"lambert_w0 did not converge for x={float(bad)!r}")
+
+
+def schedules(z, d, lam, p_max, abs_tol, rel_tol, max_iter):
+    """``schedule`` elementwise over an array of z: ``(t, p, cost, active)``
+    arrays of z's shape, ``active`` boolean.
+
+    A cost that overflows is +inf here rather than an error. Raises
+    ConvergenceError when a Lambert solve exhausts ``max_iter`` steps.
+    """
+    z = np.asarray(z, float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = lam / z
+        near = r < _SERIES_R
+        q = np.sqrt(2.0 * r)
+        series = q * (1.0 + q * (-0.3333333333333333 + q * 0.1527777777777778))
+        # Series elements take the branch point instead: no Halley steps.
+        x = np.where(near, _NEG_INV_E, (r - 1.0) * _INV_E)
+        wp1 = np.where(near, series, _lambert_w0s(x, abs_tol, rel_tol, max_iter) + 1.0)
+        t_unc = np.where(wp1 > 0.0, d * _LN2 / wp1, 0.0)
+        cap_rate = np.log1p(p_max / z)
+        t_min = np.where(cap_rate > 0.0, d * _LN2 / cap_rate, math.inf)
+        unc = t_unc >= t_min
+        t = np.where(unc, t_unc, t_min)
+        active = ~unc | ((t_unc - t_min) <= 1e-12 * t_unc)
+        p = np.where(active, p_max, np.expm1(d * _LN2 / t) * z)
+        c = t * (lam + p)
+    return t, p, c, active

@@ -103,8 +103,10 @@ def read_record(cls, record, format: str, version: int):
         raise ValueError(f"not a {kind} record: the top level must be a JSON object")
     if record.get("format") != format:
         raise ValueError(f"not a {kind} record: {record.get('format')!r}")
-    if record.get("version") != version:
-        raise ValueError(f"unsupported record version {record.get('version')!r}")
+    found = record.get("version")
+    # A JSON integer: true and 1.0 compare equal to 1 but are not versions.
+    if not (type(found) is int and found == version):
+        raise ValueError(f"unsupported record version {found!r}")
     problems: list[str] = []
     out = read(cls, record, kind, problems)
     if problems:

@@ -1,12 +1,22 @@
 """The transmit-schedule kernel's entry points.
 
 ``lambert_w0``, ``cost``, ``min_power``, ``schedule`` and ``value`` come
-from the pure-Python kernel in ``_kernel_py``, the package's only one.
+from the pure-Python kernel in ``_kernel_py``, the package's only one, as
+do ``schedules`` and ``min_powers``, its array twins for the sweep.
 """
 
 from __future__ import annotations
 
-from ._kernel_py import BACKEND, cost, lambert_w0, min_power, schedule, value
+from ._kernel_py import (  # noqa: F401
+    BACKEND,
+    cost,
+    lambert_w0,
+    min_power,
+    min_powers,
+    schedule,
+    schedules,
+    value,
+)
 
 
 def backend_name() -> str:

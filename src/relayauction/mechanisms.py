@@ -19,6 +19,10 @@ A reported winner relay-power value flags payments whose implied candidate
 retransmission would exceed the transmit cap; the mechanisms do not enforce
 that cap, mirroring the source-side-only constraint of the underlying
 optimization.
+
+``settle_truthful`` is the same winner rule and the same payments over a
+batch of truthful auctions at once, as arrays, for the sweep; the scalar
+rules are its reference.
 """
 
 from __future__ import annotations
@@ -29,12 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import MaybeInf, read_record, write
-from .numerics import ConvergenceError
+from .kernel import min_powers
+from .numerics import ConvergenceError, ScheduleOverflow
 from .scenario import ScenarioInstance
 from .schedule import (
     SystemParams,
     min_total_power,
     optimal_schedule,
+    optimal_schedules,
     value_of_z,  # noqa: F401  (the name traced runs wrap; see perfbench/tracing.py)
     z_of_value,
 )
@@ -44,6 +50,9 @@ OUTCOME_FORMAT = "relayauction/auction-outcome"
 RECORD_VERSION = 1
 
 SOURCE = 0  # bidder index of the source's reservation bid
+# The kernel's cap-tie tolerance, relative: a paid power this close to the
+# winner's break-even power is break-even.
+_TIE_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -123,8 +132,16 @@ def score(b: Bid, params: SystemParams) -> float:
 
 
 def truthful_bid(z: float, params: SystemParams, bidder: int) -> Bid:
-    """The bid revealing effective channel z: its own optimal schedule."""
-    sol = optimal_schedule(z, params)
+    """The bid revealing effective channel z: its own optimal schedule.
+
+    A channel so poor that its schedule's cost overflows a double bids an
+    unbounded duration at the cap. Its score is +inf, so it never wins, and
+    an auction fails on it only where it sets the payment.
+    """
+    try:
+        sol = optimal_schedule(z, params)
+    except ScheduleOverflow:
+        return Bid(math.inf, params.p_max_w, bidder)
     return Bid(sol.t_star_s, sol.p_star_w, bidder)
 
 
@@ -135,14 +152,32 @@ def truthful_profile(inst: ScenarioInstance, params: SystemParams) -> StrategyPr
     return StrategyProfile(tuple(bids))
 
 
+def _gain(t, alpha_tilde, p, p_even):
+    # Net harvest t*alpha_tilde*(p - p_even), on floats or elementwise on
+    # arrays. A gap within the cap-tie tolerance is break-even, 0.0: a winner
+    # paid its own capped schedule nets exactly 0, not the last-bit noise of
+    # recomputing p_max from the cap duration. (gap * False is -0.0 for a
+    # negative gap; adding 0.0 makes it 0.0 and leaves any other value.)
+    gap = p - p_even
+    return t * alpha_tilde * (gap * (abs(gap) > _TIE_REL * p) + 0.0)
+
+
 def _net_energy(t: float, p: float, winner: int, inst: ScenarioInstance, params: SystemParams) -> float:
     if winner == SOURCE:
         return 0.0
     z_w = float(inst.z_w[winner - 1])
-    e = t * float(inst.alpha_tilde[winner - 1]) * (p - min_total_power(t, z_w, params))
+    e = _gain(t, float(inst.alpha_tilde[winner - 1]), p, min_total_power(t, z_w, params))
     if not math.isfinite(e):
         raise ConvergenceError(f"winner {winner}'s net energy overflows a double")
     return e
+
+
+def _paid_score(b: Bid, params: SystemParams) -> float:
+    """The score of the bid that sets the payment, which must be finite."""
+    s = score(b, params)
+    if s == math.inf:
+        raise ConvergenceError(f"bidder {b.bidder}'s score overflows a double, and it sets the payment")
+    return s
 
 
 def _relay_power(t: float, winner: int, inst: ScenarioInstance, params: SystemParams):
@@ -206,7 +241,7 @@ def cooperative_baseline(
     winning candidate exactly breaks even.
     """
     best, runner = _winner_and_runner(profile, inst, params)
-    return _outcome(best, runner, best.t_s, best.p_tot_w, score(best, params), inst, params)
+    return _outcome(best, runner, best.t_s, best.p_tot_w, _paid_score(best, params), inst, params)
 
 
 def run_spoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams) -> AuctionOutcome:
@@ -217,7 +252,7 @@ def run_spoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemPar
     """
     best, runner = _winner_and_runner(profile, inst, params)
     paid = best if best.bidder == SOURCE else runner
-    return _outcome(best, runner, paid.t_s, paid.p_tot_w, score(paid, params), inst, params)
+    return _outcome(best, runner, paid.t_s, paid.p_tot_w, _paid_score(paid, params), inst, params)
 
 
 def run_mspoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams) -> AuctionOutcome:
@@ -225,9 +260,69 @@ def run_mspoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemPa
     runner-up score, i.e. map the runner-up back onto the bid manifold."""
     best, runner = _winner_and_runner(profile, inst, params)
     if best.bidder == SOURCE:
-        return _outcome(best, runner, best.t_s, best.p_tot_w, score(best, params), inst, params)
-    sol = optimal_schedule(z_of_value(score(runner, params), params), params)
+        return _outcome(best, runner, best.t_s, best.p_tot_w, _paid_score(best, params), inst, params)
+    sol = optimal_schedule(z_of_value(_paid_score(runner, params), params), params)
     return _outcome(best, runner, sol.t_star_s, sol.p_star_w, sol.cost_ws, inst, params)
+
+
+def settle_truthful(
+    mechanisms: tuple[str, ...], z: np.ndarray, alpha_tilde: np.ndarray, params: SystemParams
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Settle a batch of truthful auctions under each mechanism, as arrays.
+
+    Row i is one auction: z[i] = [z0, z_1..z_n] and alpha_tilde[i] its
+    candidates' efficiencies. Every bid comes from one array-kernel call; a
+    cost that overflows scores +inf. The winner and the runner-up are each
+    row's two lowest (score, bidder). Cooperative pays the winner's
+    schedule, SPOA the runner-up's, and MSPOA
+    ``optimal_schedule(z_of_value(runner-up score))``, once per candidate
+    win; a winning source pays its own. No Bid, StrategyProfile or
+    AuctionOutcome is built.
+
+    Returns the winners and, per mechanism, the paid durations, the paid
+    powers and the winners' net energies. Raises ConvergenceError where the
+    scalar rules do: a payment set by a +inf score, or a net energy that
+    overflows.
+    """
+    t, p, c, _ = optimal_schedules(z, params)
+    rows = np.arange(len(z))
+    order = np.argsort(c, axis=1, kind="stable")  # ties to the lower bidder index
+    best, runner = order[:, 0], order[:, 1]
+    relay = best != SOURCE
+    settled = []
+    for mech in mechanisms:
+        if mech == "cooperative":
+            paid = best
+        elif mech in ("spoa", "mspoa"):
+            paid = np.where(relay, runner, best)
+        else:
+            raise ValueError(f"unknown mechanism {mech!r}")
+        pt, pp, pc = t[rows, paid], p[rows, paid], c[rows, paid]
+        if not (pc < math.inf).all():
+            i = int(np.argmax(pc == math.inf))
+            raise ConvergenceError(
+                f"bidder {int(paid[i])}'s score overflows a double, and it sets the payment"
+            )
+        if mech == "mspoa":
+            for i in np.flatnonzero(relay):
+                sol = optimal_schedule(z_of_value(float(pc[i]), params), params)
+                pt[i], pp[i] = sol.t_star_s, sol.p_star_w
+        settled.append((pt, pp, _net_energies(pt, pp, best, z, alpha_tilde, params)))
+    return best, settled
+
+
+def _net_energies(t, p, winner, z, alpha_tilde, params: SystemParams) -> np.ndarray:
+    # _net_energy over rows; a source win's row reads its first candidate
+    # and is then zeroed.
+    rows = np.arange(len(z))
+    col = np.maximum(winner, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = _gain(t, alpha_tilde[rows, col - 1], p, min_powers(t, z[rows, col], params.d_bits_per_hz))
+    e = np.where(winner == SOURCE, 0.0, gain)
+    if not np.isfinite(e).all():
+        i = int(np.argmax(~np.isfinite(e)))
+        raise ConvergenceError(f"winner {int(winner[i])}'s net energy overflows a double")
+    return e
 
 
 def ex_post_utility(i: int, outcome: AuctionOutcome, inst: ScenarioInstance, params: SystemParams) -> float:

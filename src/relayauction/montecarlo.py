@@ -20,6 +20,7 @@ from .mechanisms import (
     cooperative_baseline,
     run_mspoa,
     run_spoa,
+    settle_truthful,
     truthful_profile,
 )
 from .scenario import ChannelConfig, GeometryConfig, ScenarioInstance, sample_instance
@@ -150,14 +151,24 @@ def _trial_chunk(
     chan: ChannelConfig,
     params: SystemParams,
 ) -> np.ndarray:
-    out = np.empty((hi - lo, len(lambdas), len(mechanisms), 4))
-    cell_params = [replace(params, lambda_w=lam) for lam in lambdas]
-    for k in range(lo, hi):
+    # Trials lo..hi-1 settled as arrays, one row per trial: each row's
+    # metrics are those of run_mechanism on its instance, to the array
+    # kernel's last bits, and do not depend on the other rows.
+    z = np.empty((hi - lo, n + 1))
+    alpha_tilde = np.empty((hi - lo, n))
+    for i, k in enumerate(range(lo, hi)):
         inst = sample_instance(n, geom, chan, params, trial_rng(seed, n, k))
-        for j, cell in enumerate(cell_params):
-            profile = truthful_profile(inst, cell)
-            for m, mech in enumerate(mechanisms):
-                out[k - lo, j, m] = _outcome_metrics(_settle(mech, profile, inst, cell))
+        z[i, 0] = inst.z0_w
+        z[i, 1:] = inst.z_w
+        alpha_tilde[i] = inst.alpha_tilde
+    out = np.empty((hi - lo, len(lambdas), len(mechanisms), 4))
+    for j, lam in enumerate(lambdas):
+        winner, settled = settle_truthful(mechanisms, z, alpha_tilde, replace(params, lambda_w=lam))
+        for m, (t, p, net) in enumerate(settled):
+            out[:, j, m, 0] = t
+            out[:, j, m, 1] = t * p
+            out[:, j, m, 2] = net
+            out[:, j, m, 3] = winner == 0
     return out
 
 

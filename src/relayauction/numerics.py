@@ -20,6 +20,10 @@ class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
 
+class ScheduleOverflow(ConvergenceError):
+    """A channel's optimal schedule costs more than the largest double."""
+
+
 @dataclass(frozen=True)
 class ToleranceSpec:
     """Shared solver tolerances.

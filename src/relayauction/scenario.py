@@ -24,6 +24,8 @@ RECORD_VERSION = 1
 # region is a negligible fraction of the sampling box, i.e. a config error.
 REJECTION_BUDGET = 10_000
 _BATCH = 256
+# Points of a batch tested first; they usually hold every candidate needed.
+_PREFIX = 32
 
 
 @dataclass(frozen=True)
@@ -95,13 +97,16 @@ class ScenarioInstance:
         n = len(pos)
         if not (self.h_s > 0.0 and self.z0_w > 0.0):
             raise ValueError("source channel and z0 must be strictly positive")
-        for name in ("h_i", "h_si", "alpha_tilde", "z_w"):
+        names = ("h_i", "h_si", "alpha_tilde", "z_w")
+        for name in names:
             arr = np.asarray(getattr(self, name), float)
             object.__setattr__(self, name, arr)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have one entry per candidate position, got shape {arr.shape}")
-            if n and not (arr > 0.0).all():
-                raise ValueError(f"{name} entries must be strictly positive")
+        # One test for all four arrays; the first that fails is named.
+        if n and not np.concatenate([getattr(self, name) for name in names]).min() > 0.0:
+            bad = next(name for name in names if not getattr(self, name).min() > 0.0)
+            raise ValueError(f"{bad} entries must be strictly positive")
 
     @property
     def n_candidates(self) -> int:
@@ -115,28 +120,28 @@ class ScenarioInstance:
         return read_record(cls, record, RECORD_FORMAT, RECORD_VERSION)
 
 
-def _segments_clear(points: np.ndarray, endpoint: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    # Squared point-to-segment distance against squared radius; comparisons in
-    # squared units keep the scalar and vector paths bit-consistent.
-    d = endpoint - points
-    len2 = (d * d).sum(axis=-1)
-    denom = np.where(len2 > 0.0, len2, 1.0)
-    t = np.where(len2 > 0.0, ((center - points) * d).sum(axis=-1) / denom, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    proj = points + t[..., None] * d
-    dist2 = ((center - proj) ** 2).sum(axis=-1)
-    return dist2 > radius * radius
+def _segments_clear(px, py, ex, ey, center, radius: float) -> np.ndarray:
+    # Whether the segments from (px, py) to (ex, ey), coordinates broadcast,
+    # clear the disc: squared point-to-segment distance against squared
+    # radius, so the scalar and vector paths agree bit for bit. Each result
+    # depends on its own segment alone, so a batch may be tested in parts
+    # or against stacked endpoints with the same outcome.
+    cx, cy = center
+    dx = ex - px
+    dy = ey - py
+    len2 = dx * dx + dy * dy
+    apart = len2 > 0.0
+    t = np.where(apart, ((cx - px) * dx + (cy - py) * dy) / np.where(apart, len2, 1.0), 0.0)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    ox = cx - (px + t * dx)
+    oy = cy - (py + t * dy)
+    return ox * ox + oy * oy > radius * radius
 
 
 def has_los(p, q, geom: GeometryConfig) -> bool:
     """True iff segment [p, q] clears the blockage disc (distance > radius)."""
-    res = _segments_clear(
-        np.asarray(p, float),
-        np.asarray(q, float),
-        np.asarray(geom.blockage_center_m, float),
-        geom.blockage_radius_m,
-    )
-    return bool(res)
+    (px, py), (qx, qy) = np.asarray(p, float), np.asarray(q, float)
+    return bool(_segments_clear(px, py, qx, qy, geom.blockage_center_m, geom.blockage_radius_m))
 
 
 def sample_candidates(n: int, geom: GeometryConfig, rng: np.random.Generator) -> np.ndarray:
@@ -144,17 +149,27 @@ def sample_candidates(n: int, geom: GeometryConfig, rng: np.random.Generator) ->
 
     Plain rejection sampling in fixed-size batches (so draw counts, and hence
     reproducibility, do not depend on how many candidates are requested at
-    once). Raises RuntimeError when the budget of 10^4 attempts per candidate
-    is exhausted.
+    once). Each batch is ``rng.uniform``'s draw, low + (high - low) * u. Its
+    first 32 points are tested, and the rest only when those fall short.
+    Raises RuntimeError when the budget of 10^4 attempts per candidate is
+    exhausted.
     """
     if n < 0:
         raise ValueError("candidate count must be non-negative")
     if n == 0:
         return np.empty((0, 2))
     xmin, xmax, ymin, ymax = geom.sampling_box_m
-    origin = np.zeros(2)
-    q_s = np.asarray(geom.q_s_m, float)
-    center = np.asarray(geom.blockage_center_m, float)
+    low = np.array((xmin, ymin))
+    span = np.array((xmax, ymax)) - low
+    # Segment ends, one row each: the access point (origin) and the source.
+    ex = np.array(((0.0,), (geom.q_s_m[0],)))
+    ey = np.array(((0.0,), (geom.q_s_m[1],)))
+
+    def clear(u):
+        pts = low + u * span
+        ok = _segments_clear(pts[:, 0], pts[:, 1], ex, ey, geom.blockage_center_m, geom.blockage_radius_m)
+        return pts[ok[0] & ok[1]]
+
     out: list[np.ndarray] = []
     have = 0
     attempts = 0
@@ -165,12 +180,11 @@ def sample_candidates(n: int, geom: GeometryConfig, rng: np.random.Generator) ->
                 f"rejection sampling exhausted {budget} attempts for {n} candidates; "
                 f"the doubly-LOS region inside {geom.sampling_box_m} is too small"
             )
-        pts = rng.uniform((xmin, ymin), (xmax, ymax), size=(_BATCH, 2))
+        u = rng.random((_BATCH, 2))
         attempts += _BATCH
-        ok = _segments_clear(pts, origin, center, geom.blockage_radius_m) & _segments_clear(
-            pts, q_s, center, geom.blockage_radius_m
-        )
-        kept = pts[ok]
+        kept = clear(u[:_PREFIX])
+        if have + len(kept) < n:
+            kept = np.concatenate((kept, clear(u[_PREFIX:])))
         out.append(kept)
         have += len(kept)
     return np.concatenate(out)[:n]
@@ -187,15 +201,16 @@ def build_instance(
 ) -> ScenarioInstance:
     """Deterministic instance assembly from positions and fading draws."""
     positions = np.asarray(positions, float)
-    q_s = np.asarray(geom.q_s_m, float)
-    d_s = float(np.hypot(*q_s))
+    qx, qy = geom.q_s_m
+    d_s = float(np.hypot(qx, qy))
     k_nlos = 10.0 ** (chan.k_nlos_db / 10.0)
     k_los = 10.0 ** (chan.k_los_db / 10.0)
     h_s = k_nlos * d_s ** (-chan.eta_nlos) * float(fading_s)
-    d_i = np.sqrt((positions**2).sum(axis=1))
-    d_si = np.sqrt(((positions - q_s) ** 2).sum(axis=1))
-    h_i = k_los * d_i ** (-chan.eta_los) * np.asarray(fading_i, float)
-    h_si = k_los * d_si ** (-chan.eta_los) * np.asarray(fading_si, float)
+    # Both LOS links at once: rows are the access point (origin) and the source.
+    dx = positions[:, 0] - np.array(((0.0,), (qx,)))
+    dy = positions[:, 1] - np.array(((0.0,), (qy,)))
+    dist = np.sqrt(dx * dx + dy * dy)
+    h_i, h_si = k_los * dist ** (-chan.eta_los) * np.array((fading_i, fading_si), float)
     alpha_tilde = h_si * params.a_r_m2 * params.alpha
     z0 = params.sigma2_w / h_s
     z = params.sigma2_w * (1.0 / h_si + 1.0 / (alpha_tilde * h_i))
@@ -221,12 +236,11 @@ def sample_instance(
 
     Draw order is fixed (positions, source fading, candidate-AP fadings,
     source-candidate fadings) so a given generator state maps to exactly one
-    instance.
+    instance. The fadings are one draw of 2n + 1 standard exponentials, the
+    same stream as three ``exponential`` calls.
     """
     if n < 1:
         raise ValueError("need at least one candidate")
     positions = sample_candidates(n, geom, rng)
-    fading_s = rng.exponential()
-    fading_i = rng.exponential(size=n)
-    fading_si = rng.exponential(size=n)
-    return build_instance(positions, fading_s, fading_i, fading_si, geom, chan, params)
+    fading = rng.standard_exponential(2 * n + 1)
+    return build_instance(positions, fading[0], fading[1 : n + 1], fading[n + 1 :], geom, chan, params)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import kernel
 from .numerics import DEFAULT_TOL, ConvergenceError
 
@@ -43,11 +45,14 @@ class SystemParams:
     alpha: float = 0.2
 
     def __post_init__(self):
-        problems = [
-            f"SystemParams.{name} must be strictly positive"
-            for name in ("d_bits_per_hz", "lambda_w", "p_max_w", "sigma2_w", "a_r_m2", "alpha")
-            if not getattr(self, name) > 0.0
-        ]
+        problems = []
+        for name in ("d_bits_per_hz", "lambda_w", "p_max_w", "sigma2_w", "a_r_m2", "alpha"):
+            value = getattr(self, name)
+            # True > 0.0 holds, so a bool would pass the range check below.
+            if isinstance(value, (bool, np.bool_)):
+                problems.append(f"SystemParams.{name} must be a number, not {value!r}")
+            elif not value > 0.0:
+                problems.append(f"SystemParams.{name} must be strictly positive")
         if self.alpha > 1.0:
             problems.append("SystemParams.alpha must not exceed 1")
         if problems:
@@ -90,13 +95,25 @@ def optimal_schedule(z: float, params: SystemParams) -> ScheduleSolution:
 
     The unconstrained optimum is D*ln2 / (W0((lambda/z - 1)/e) + 1); the cap
     branch D*ln2 / log1p(p_max/z) takes over for bad channels. Uniqueness
-    follows from convexity.
+    follows from convexity. Raises ScheduleOverflow, a ConvergenceError, when
+    the cost overflows a double.
     """
     _check_z(z)
     t, p, c, active = kernel.schedule(
         z, params.d_bits_per_hz, params.lambda_w, params.p_max_w, *_SOLVER
     )
     return ScheduleSolution(t, p, c, bool(active))
+
+
+def optimal_schedules(z: np.ndarray, params: SystemParams) -> tuple[np.ndarray, ...]:
+    """``optimal_schedule`` elementwise over an array of channels: arrays
+    ``(t_star_s, p_star_w, cost_ws, constraint_active)`` of z's shape.
+
+    A cost that overflows a double is +inf here rather than an error, and z
+    is not checked. Array calls pay off at a sweep chunk's size; the scalar
+    call is the reference (see ``_kernel_py`` for the agreement bounds).
+    """
+    return kernel.schedules(z, params.d_bits_per_hz, params.lambda_w, params.p_max_w, *_SOLVER)
 
 
 def value_of_z(z: float, params: SystemParams) -> float:

@@ -19,3 +19,16 @@ def test_tracer_pins_exist_and_host_facts_read():
     with tracing.patched(tracing.Tracer()):
         pass
     assert run.host_facts()["nproc"] >= 1
+
+
+def test_traced_sweep_calls_what_the_layer_metrics_divide_by():
+    # perfbench/run.py --trace 1 divides by these counts.
+    from relayauction.montecarlo import SweepConfig, run_sweep
+    from relayauction.scenario import ChannelConfig, GeometryConfig
+    from relayauction.schedule import SystemParams
+
+    cfg = SweepConfig(n_values=(1, 2), trials=8, mechanisms=("cooperative", "mspoa"))
+    with tracing.patched(tracing.Tracer()) as tracer:
+        run_sweep(cfg, GeometryConfig(), ChannelConfig(), SystemParams())
+    for name in ("scenario.sample_instance", "schedule.optimal_schedule", "numerics.lambert_w0"):
+        assert tracer.calls[name] > 0, name

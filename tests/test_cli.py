@@ -116,6 +116,25 @@ class TestAuction:
         outcome = AuctionOutcome.from_record(record)
         assert outcome.winner_relay_p_w == (math.inf if overflows else record["winner_relay_p_w"])
 
+    @pytest.mark.parametrize(
+        "z0,mechanism,rc",
+        [(10.0, "spoa", 0), (10.0, "mspoa", 0), (3e307, "cooperative", 0), (3e307, "spoa", 2), (3e307, "mspoa", 2)],
+    )
+    def test_overflowing_bidder_fails_only_where_it_sets_the_payment(self, z0, mechanism, rc, tmp_path, capsys):
+        # Default parameters: a schedule at z = 3e307 overflows; candidate 1 wins.
+        path = tmp_path / "overflowing_bidder.json"
+        path.write_text(json.dumps({
+            "format": "relayauction/scenario-instance", "version": 1,
+            "candidate_positions_m": [[1.0, 1.0], [2.0, 2.0]], "h_s": 1.0, "h_i": [1.0, 1.0],
+            "h_si": [1.0, 1.0], "alpha_tilde": [0.5, 0.5], "z0_w": z0, "z_w": [1.0, 3e307],
+        }))
+        assert main(["auction", "--instance", str(path), "--mechanism", mechanism]) == rc
+        captured = capsys.readouterr()
+        if rc == 0:
+            assert json.loads(captured.out.strip().splitlines()[-1])["winner"] == 1
+        else:
+            assert "score overflows" in captured.err
+
     def test_overflowing_net_energy_is_numerical_failure(self, tmp_path, capsys):
         path = self._hopeless_relay_instance(tmp_path, 1.0, alpha_tilde=1e306)
         rc = main(["auction", "--instance", str(path), "--mechanism", "spoa", "--lambda-w", "1000"])

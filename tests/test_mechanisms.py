@@ -26,6 +26,7 @@ from relayauction import (
     truthful_profile,
     value_of_z,
 )
+from relayauction.mechanisms import SOURCE, settle_truthful
 
 LN2 = math.log(2.0)
 
@@ -421,17 +422,101 @@ class TestExtremeChannels:
             z0_w=10.0**log_z0,
             z_w=10.0 ** np.array(log_z[:n]),
         )
-        try:
-            profile = truthful_profile(inst, params)
-        except (ValueError, ConvergenceError):
-            return
+        # A bidder whose schedule overflows scores +inf instead of aborting.
+        profile = truthful_profile(inst, params)
+        best, runner = sorted(profile.bids, key=lambda b: (score(b, params), b.bidder))[:2]
         for mechanism in (cooperative_baseline, run_spoa, run_mspoa):
+            sets_payment = best if mechanism is cooperative_baseline or best.bidder == SOURCE else runner
+            if score(sets_payment, params) == math.inf:
+                with pytest.raises(ConvergenceError, match="score overflows"):
+                    mechanism(profile, inst, params)
+                continue
             try:
                 out = mechanism(profile, inst, params)
-            except (ValueError, ConvergenceError):
+            except (ValueError, ConvergenceError) as exc:
+                assert "score overflows" not in str(exc)
                 continue
+            assert out.winner == best.bidder
             assert math.isfinite(out.payment_t_s) and math.isfinite(out.payment_p_w)
             assert math.isfinite(out.source_cost_ws)
             assert math.isfinite(out.winner_net_energy_j)
             assert math.isfinite(out.winner_relay_p_w) or not out.winner_relay_feasible
             json.dumps(out.to_record(), allow_nan=False)
+
+
+class TestOverflowingBidder:
+    # Default parameters: a schedule at z = 3e307 costs more than the largest double.
+    PARAMS = SystemParams()
+
+    def _instance(self, z0, z):
+        n = len(z)
+        return ScenarioInstance(
+            candidate_positions_m=np.ones((n, 2)), h_s=1.0, h_i=np.ones(n), h_si=np.ones(n),
+            alpha_tilde=np.full(n, 0.5), z0_w=z0, z_w=np.array(z),
+        )
+
+    def test_it_scores_inf_and_the_auction_goes_on(self):
+        inst = self._instance(10.0, [1.0, 3e307])
+        profile = truthful_profile(inst, self.PARAMS)
+        assert score(profile.bids[2], self.PARAMS) == math.inf
+        for mechanism in (cooperative_baseline, run_spoa, run_mspoa):
+            out = mechanism(profile, inst, self.PARAMS)
+            assert (out.winner, out.runner_up) == (1, SOURCE)
+            assert math.isfinite(out.source_cost_ws)
+
+    def test_it_fails_the_auction_only_where_it_sets_the_payment(self):
+        inst = self._instance(3e307, [1.0, 3e307])
+        profile = truthful_profile(inst, self.PARAMS)
+        assert cooperative_baseline(profile, inst, self.PARAMS).winner == 1
+        for mechanism in (run_spoa, run_mspoa):
+            with pytest.raises(ConvergenceError, match="score overflows"):
+                mechanism(profile, inst, self.PARAMS)
+
+    def test_the_array_rule_agrees(self):
+        z = np.array([[10.0, 1.0, 3e307], [3e307, 1.0, 3e307]])
+        alpha = np.full((2, 2), 0.5)
+        winner, [(t, _, _)] = settle_truthful(("cooperative",), z, alpha, self.PARAMS)
+        assert winner.tolist() == [1, 1] and np.isfinite(t).all()
+        _, settled = settle_truthful(("spoa", "mspoa"), z[:1], alpha[:1], self.PARAMS)
+        assert all(np.isfinite(t).all() for t, _, _ in settled)
+        for mech in ("spoa", "mspoa"):
+            with pytest.raises(ConvergenceError, match="score overflows"):
+                settle_truthful((mech,), z, alpha, self.PARAMS)
+
+
+class TestSettleTruthful:
+    """The array winner rule against the scalar mechanisms, its reference."""
+
+    @given(
+        log_z=st.lists(st.lists(st.floats(-6.0, 6.0), min_size=4, max_size=4), min_size=1, max_size=12),
+        n=st.integers(1, 3),
+        log_lam=st.floats(-2.0, 2.0),
+        log_pmax=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_scalar_mechanisms(self, log_z, n, log_lam, log_pmax):
+        params = SystemParams(lambda_w=10.0**log_lam, p_max_w=10.0**log_pmax)
+        z = 10.0 ** np.array(log_z)[:, : n + 1]
+        alpha = np.full((len(z), n), 0.3)
+        mechs = (cooperative_baseline, run_spoa, run_mspoa)
+        winner, settled = settle_truthful(("cooperative", "spoa", "mspoa"), z, alpha, params)
+        for i, row in enumerate(z):
+            inst = ScenarioInstance(
+                candidate_positions_m=np.ones((n, 2)), h_s=1.0, h_i=np.ones(n), h_si=np.ones(n),
+                alpha_tilde=alpha[i], z0_w=float(row[0]), z_w=row[1:],
+            )
+            profile = truthful_profile(inst, params)
+            scores = sorted(score(b, params) for b in profile.bids)
+            if scores[1] - scores[0] <= 1e-12 * scores[1]:
+                continue  # a tie the last bits may break either way
+            for mechanism, (t, p, net) in zip(mechs, settled):
+                out = mechanism(profile, inst, params)
+                assert winner[i] == out.winner
+                assert t[i] == pytest.approx(out.payment_t_s, rel=1e-9)
+                assert t[i] * p[i] == pytest.approx(out.payment_t_s * out.payment_p_w, rel=1e-9)
+                scale = out.payment_t_s * out.payment_p_w * (alpha[i, out.winner - 1] if out.winner else 0.0)
+                assert abs(net[i] - out.winner_net_energy_j) <= 1e-9 * scale
+
+    def test_unknown_mechanism_rejected(self):
+        with pytest.raises(ValueError, match="unknown mechanism"):
+            settle_truthful(("english",), np.ones((1, 2)), np.ones((1, 1)), SystemParams())

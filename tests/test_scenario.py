@@ -28,11 +28,27 @@ class _UnitFading:
     def __init__(self, seed=0):
         self._rng = np.random.default_rng(seed)
 
-    def uniform(self, *args, **kwargs):
-        return self._rng.uniform(*args, **kwargs)
+    def random(self, size):
+        return self._rng.random(size)
 
-    def exponential(self, size=None):
-        return 1.0 if size is None else np.ones(size)
+    def standard_exponential(self, size):
+        return np.ones(size)
+
+
+def _library_draw_instance(n, geom, chan, params, rng):
+    # sample_instance written with the library's own draws: tuple-bound
+    # uniform batches tested whole, then three exponential calls.
+    xmin, xmax, ymin, ymax = geom.sampling_box_m
+    (qx, qy), center, radius = geom.q_s_m, geom.blockage_center_m, geom.blockage_radius_m
+    kept = []
+    while sum(map(len, kept)) < n:
+        pts = rng.uniform((xmin, ymin), (xmax, ymax), size=(256, 2))
+        ok = _segments_clear(pts[:, 0], pts[:, 1], 0.0, 0.0, center, radius)
+        ok &= _segments_clear(pts[:, 0], pts[:, 1], qx, qy, center, radius)
+        kept.append(pts[ok])
+    positions = np.concatenate(kept)[:n]
+    fading_s, fading_i, fading_si = rng.exponential(), rng.exponential(size=n), rng.exponential(size=n)
+    return build_instance(positions, fading_s, fading_i, fading_si, geom, chan, params)
 
 
 class TestConfigs:
@@ -111,9 +127,9 @@ class TestSampleCandidates:
         ys = ymin + (np.arange(grid) + 0.5) * (ymax - ymin) / grid
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         mesh = np.stack([X.ravel(), Y.ravel()], axis=1)
-        center = np.asarray(geom.blockage_center_m)
-        ok = _segments_clear(mesh, np.zeros(2), center, geom.blockage_radius_m)
-        ok &= _segments_clear(mesh, np.asarray(geom.q_s_m), center, geom.blockage_radius_m)
+        center, radius = geom.blockage_center_m, geom.blockage_radius_m
+        ok = _segments_clear(mesh[:, 0], mesh[:, 1], 0.0, 0.0, center, radius)
+        ok &= _segments_clear(mesh[:, 0], mesh[:, 1], *geom.q_s_m, center, radius)
         ok = ok.reshape(grid, grid)
         cell = grid // 4
         frac = np.array(
@@ -153,6 +169,30 @@ class TestInstances:
     def test_fading_is_unit_mean_exponential(self):
         mean = np.random.default_rng(424242).exponential(size=10**6).mean()
         assert 0.997 <= mean <= 1.003
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 40])
+    @pytest.mark.parametrize(
+        "geom",
+        [GeometryConfig(), GeometryConfig(blockage_radius_m=2.3, sampling_box_m=(0.0, 7.0, 0.0, 7.0))],
+        ids=["defaults", "mostly-blocked"],
+    )
+    def test_stream_matches_the_library_draws(self, geom, n):
+        # The leaner draws and the prefix test change no instance and leave
+        # the generator where the library's own calls would.
+        chan, params = ChannelConfig(), SystemParams()
+        for k in range(25):
+            a_rng, b_rng = np.random.default_rng((5, n, k)), np.random.default_rng((5, n, k))
+            a = sample_instance(n, geom, chan, params, a_rng)
+            b = _library_draw_instance(n, geom, chan, params, b_rng)
+            for name in ("candidate_positions_m", "h_i", "h_si", "alpha_tilde", "z_w"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (k, name)
+            assert (a.h_s, a.z0_w) == (b.h_s, b.z0_w)
+            assert a_rng.random() == b_rng.random()
+
+    def test_first_non_positive_array_is_named(self, golden_instance):
+        fields = {**vars(golden_instance), "h_si": np.array([1.0, -1.0]), "z_w": np.array([0.0, 1.0])}
+        with pytest.raises(ValueError, match="h_si entries"):
+            ScenarioInstance(**fields)
 
     def test_deterministic_for_seed(self):
         geom, chan, params = GeometryConfig(), ChannelConfig(), SystemParams()
@@ -206,6 +246,12 @@ class TestInstances:
     def test_record_format_guard(self):
         with pytest.raises(ValueError, match="scenario-instance"):
             ScenarioInstance.from_record({"format": "something-else", "version": 1})
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_record_version_must_be_a_json_integer(self, golden_instance, version):
+        record = {**golden_instance.to_record(), "version": version}
+        with pytest.raises(ValueError, match="unsupported record version"):
+            ScenarioInstance.from_record(record)
 
     def test_needs_at_least_one_candidate(self):
         geom, chan, params = GeometryConfig(), ChannelConfig(), SystemParams()

@@ -16,6 +16,7 @@ from relayauction import (
     z_of_value,
 )
 from relayauction.numerics import DEFAULT_TOL
+from relayauction.schedule import optimal_schedules
 from relayauction.verify import _kink_z, oracle_schedule_cost, oracle_z_of_value
 
 LN2 = math.log(2.0)
@@ -42,6 +43,8 @@ class TestSystemParams:
             dict(a_r_m2=-1e-4),
             dict(alpha=0.0),
             dict(alpha=1.5),
+            dict(lambda_w=True),
+            dict(alpha=np.bool_(True)),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -50,6 +53,9 @@ class TestSystemParams:
 
     def test_alpha_one_allowed(self):
         assert SystemParams(alpha=1.0).alpha == 1.0
+
+    def test_numpy_floats_allowed(self):
+        assert SystemParams(lambda_w=np.float64(2.5), p_max_w=np.float32(4.0)).lambda_w == 2.5
 
 
 class TestCostFunction:
@@ -186,6 +192,42 @@ class TestOptimalSchedule:
     def test_overflowing_schedule_is_a_convergence_error(self, params10):
         with pytest.raises(ConvergenceError, match="no finite schedule"):
             optimal_schedule(1e308, params10)
+
+
+class TestArrayKernel:
+    """``optimal_schedules`` against the scalar kernel, its reference."""
+
+    @given(
+        log_z=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=40),
+        log_lam=st.floats(-3.0, 3.0),
+        log_pmax=st.floats(-2.0, 3.0),
+        log_d=st.floats(-1.0, 2.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_scalar_kernel(self, log_z, log_lam, log_pmax, log_d):
+        params = SystemParams(d_bits_per_hz=10.0**log_d, lambda_w=10.0**log_lam, p_max_w=10.0**log_pmax)
+        zs = 10.0 ** np.array(log_z)
+        t, p, c, active = optimal_schedules(zs, params)
+        assert t.shape == p.shape == c.shape == active.shape == zs.shape
+        for i, z in enumerate(zs):
+            sol = optimal_schedule(float(z), params)
+            assert c[i] == pytest.approx(sol.cost_ws, rel=1e-14, abs=0.0)
+            # t and p inherit the Lambert conditioning near the branch point.
+            assert t[i] == pytest.approx(sol.t_star_s, rel=1e-9, abs=0.0)
+            assert p[i] == pytest.approx(sol.p_star_w, rel=1e-9, abs=0.0)
+            assert bool(active[i]) == sol.constraint_active
+
+    def test_elements_do_not_depend_on_their_neighbours(self):
+        zs = 10.0 ** np.random.default_rng(4).uniform(-8.0, 8.0, 1000)
+        params = SystemParams(lambda_w=3.0, p_max_w=2.0)
+        whole = optimal_schedules(zs, params)
+        for lo, hi in ((0, 1), (3, 10), (17, 529), (999, 1000)):
+            part = optimal_schedules(zs[lo:hi], params)
+            assert all(np.array_equal(a[lo:hi], b) for a, b in zip(whole, part))
+
+    def test_overflowing_cost_is_inf_not_an_error(self, params10):
+        t, p, c, active = optimal_schedules(np.array([1.0, 1e308]), params10)
+        assert math.isfinite(c[0]) and c[1] == math.inf and active[1]
 
 
 class TestMonotonicity:
