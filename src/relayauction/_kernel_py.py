@@ -89,7 +89,8 @@ def _lambert_w0s(x, abs_tol, rel_tol, max_iter):
     # _lambert_core over an array with every x >= -1/e: the series below
     # -1/e + 1e-6, elsewhere Halley steps until each element meets the
     # scalar's residual test. A converged element's w no longer changes,
-    # so neither does its residual.
+    # so neither does its residual. Runs under schedules' errstate: the
+    # branch not taken by np.where may see log of a negative number.
     p = np.sqrt(2.0 * (_E * x + 1.0))
     series = -1.0 + p * (1.0 + p * (-0.3333333333333333 + p * 0.1527777777777778))
     l1 = np.log(x)

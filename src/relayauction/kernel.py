@@ -7,16 +7,7 @@ do ``schedules`` and ``min_powers``, its array twins for the sweep.
 
 from __future__ import annotations
 
-from ._kernel_py import (  # noqa: F401
-    BACKEND,
-    cost,
-    lambert_w0,
-    min_power,
-    min_powers,
-    schedule,
-    schedules,
-    value,
-)
+from ._kernel_py import BACKEND, cost, lambert_w0, min_power, min_powers, schedule, schedules, value
 
 
 def backend_name() -> str:
