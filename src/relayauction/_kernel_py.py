@@ -20,18 +20,22 @@ import math
 
 import numpy as np
 
-from .numerics import _E, _NEG_INV_E, ConvergenceError, ScheduleOverflow, _lambert_core
-
-BACKEND = "python"
+from .numerics import _E, _NEG_INV_E, _SERIES_C2, _SERIES_C3, _SERIES_DX, DEFAULT_TOL
+from .numerics import ConvergenceError, ScheduleOverflow, _lambert_core
 
 _LN2 = 0.6931471805599453
 _INV_E = 0.36787944117144233
+# Relative gap within which the unconstrained duration meets the cap's and
+# the cap counts as binding.
+CAP_TIE_REL = 1e-12
+# Every Lambert solve runs to the package's default tolerances.
+_ABS_TOL, _REL_TOL, _MAX_ITER = DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol, DEFAULT_TOL.max_iter
 # lam/z below which w + 1 comes from the branch-point series: the same
-# threshold, x < -1/e + 1e-6, at which _lambert_core returns that series.
-_SERIES_R = 2.718281828459045 * 1e-6
+# threshold, x < -1/e + _SERIES_DX, at which _lambert_core returns that series.
+_SERIES_R = _E * _SERIES_DX
 
 
-def lambert_w0(x, abs_tol, rel_tol, max_iter):
+def lambert_w0(x, abs_tol=_ABS_TOL, rel_tol=_REL_TOL, max_iter=_MAX_ITER):
     return _lambert_core(x, abs_tol, rel_tol, max_iter)
 
 
@@ -44,27 +48,28 @@ def min_power(t, z, d):
     return math.expm1(d * _LN2 / t) * z
 
 
-def schedule(z, d, lam, p_max, abs_tol, rel_tol, max_iter):
+def schedule(z, d, lam, p_max):
     """Closed-form minimizer of t*(lam + (2^(d/t)-1)*z) s.t. power <= p_max.
 
-    Returns ``(t, p, cost, active)`` where active=1 when the power cap binds
-    (ties within rel 1e-12 count as active). Raises ScheduleOverflow when
-    the cost is not finite, i.e. the cap duration overflows for huge z.
+    Returns ``(t, p, cost, active)`` where active is True when the power cap
+    binds (ties within rel CAP_TIE_REL count as active). Raises
+    ScheduleOverflow when the cost is not finite, i.e. the cap duration
+    overflows for huge z.
     """
     r = lam / z
     if r < _SERIES_R:
         # W0((r - 1)/e) + 1 as a series in q = sqrt(2r), taken before
         # r - 1 cancels against 1.
         q = math.sqrt(2.0 * r)
-        wp1 = q * (1.0 + q * (-0.3333333333333333 + q * 0.1527777777777778))
+        wp1 = q * (1.0 + q * (_SERIES_C2 + q * _SERIES_C3))
     else:
-        wp1 = _lambert_core((r - 1.0) * _INV_E, abs_tol, rel_tol, max_iter) + 1.0
+        wp1 = _lambert_core((r - 1.0) * _INV_E, _ABS_TOL, _REL_TOL, _MAX_ITER) + 1.0
     t_unc = d * _LN2 / wp1 if wp1 > 0.0 else 0.0
     cap_rate = math.log1p(p_max / z)
     t_min = d * _LN2 / cap_rate if cap_rate > 0.0 else math.inf
     if t_unc >= t_min:
         t = t_unc
-        active = (t_unc - t_min) <= 1e-12 * t_unc
+        active = (t_unc - t_min) <= CAP_TIE_REL * t_unc
     else:
         t = t_min
         active = True
@@ -72,11 +77,11 @@ def schedule(z, d, lam, p_max, abs_tol, rel_tol, max_iter):
     c = t * (lam + p)
     if not math.isfinite(c):
         raise ScheduleOverflow(f"no finite schedule for z={z!r}")
-    return t, p, c, 1 if active else 0
+    return t, p, c, active
 
 
-def value(z, d, lam, p_max, abs_tol, rel_tol, max_iter):
-    return schedule(z, d, lam, p_max, abs_tol, rel_tol, max_iter)[2]
+def value(z, d, lam, p_max):
+    return schedule(z, d, lam, p_max)[2]
 
 
 def min_powers(t, z, d):
@@ -85,21 +90,21 @@ def min_powers(t, z, d):
         return np.expm1(d * _LN2 / t) * z
 
 
-def _lambert_w0s(x, abs_tol, rel_tol, max_iter):
+def _lambert_w0s(x):
     # _lambert_core over an array with every x >= -1/e: the series below
-    # -1/e + 1e-6, elsewhere Halley steps until each element meets the
+    # -1/e + _SERIES_DX, elsewhere Halley steps until each element meets the
     # scalar's residual test. A converged element's w no longer changes,
     # so neither does its residual. Runs under schedules' errstate: the
     # branch not taken by np.where may see log of a negative number.
     p = np.sqrt(2.0 * (_E * x + 1.0))
-    series = -1.0 + p * (1.0 + p * (-0.3333333333333333 + p * 0.1527777777777778))
+    series = -1.0 + p * (1.0 + p * (_SERIES_C2 + p * _SERIES_C3))
     l1 = np.log(x)
     l2 = np.log(l1)
     w = np.where(x < _E, series, l1 - l2 + l2 / l1)
-    fixed = x < _NEG_INV_E + 1e-6
+    fixed = x < _NEG_INV_E + _SERIES_DX
     ax = np.abs(x)
-    tol_f = np.where(abs_tol > rel_tol * ax, abs_tol, rel_tol * ax)
-    for _ in range(max_iter):
+    tol_f = np.where(_ABS_TOL > _REL_TOL * ax, _ABS_TOL, _REL_TOL * ax)
+    for _ in range(_MAX_ITER):
         ew = np.exp(w)
         f = w * ew - x
         done = fixed | (np.abs(f) <= tol_f)
@@ -111,28 +116,28 @@ def _lambert_w0s(x, abs_tol, rel_tol, max_iter):
     raise ConvergenceError(f"lambert_w0 did not converge for x={float(bad)!r}")
 
 
-def schedules(z, d, lam, p_max, abs_tol, rel_tol, max_iter):
+def schedules(z, d, lam, p_max):
     """``schedule`` elementwise over an array of z: ``(t, p, cost, active)``
     arrays of z's shape, ``active`` boolean.
 
     A cost that overflows is +inf here rather than an error. Raises
-    ConvergenceError when a Lambert solve exhausts ``max_iter`` steps.
+    ConvergenceError when a Lambert solve exhausts its iteration budget.
     """
     z = np.asarray(z, float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = lam / z
         near = r < _SERIES_R
         q = np.sqrt(2.0 * r)
-        series = q * (1.0 + q * (-0.3333333333333333 + q * 0.1527777777777778))
+        series = q * (1.0 + q * (_SERIES_C2 + q * _SERIES_C3))
         # Series elements take the branch point instead: no Halley steps.
         x = np.where(near, _NEG_INV_E, (r - 1.0) * _INV_E)
-        wp1 = np.where(near, series, _lambert_w0s(x, abs_tol, rel_tol, max_iter) + 1.0)
+        wp1 = np.where(near, series, _lambert_w0s(x) + 1.0)
         t_unc = np.where(wp1 > 0.0, d * _LN2 / wp1, 0.0)
         cap_rate = np.log1p(p_max / z)
         t_min = np.where(cap_rate > 0.0, d * _LN2 / cap_rate, math.inf)
         unc = t_unc >= t_min
         t = np.where(unc, t_unc, t_min)
-        active = ~unc | ((t_unc - t_min) <= 1e-12 * t_unc)
+        active = ~unc | ((t_unc - t_min) <= CAP_TIE_REL * t_unc)
         p = np.where(active, p_max, np.expm1(d * _LN2 / t) * z)
         c = t * (lam + p)
     return t, p, c, active

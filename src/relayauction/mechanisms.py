@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import MaybeInf, read_record, write
-from .kernel import min_powers
+from .kernel import CAP_TIE_REL, min_powers
 from .numerics import ConvergenceError, ScheduleOverflow
 from .scenario import ScenarioInstance
 from .schedule import (
@@ -50,9 +50,6 @@ OUTCOME_FORMAT = "relayauction/auction-outcome"
 RECORD_VERSION = 1
 
 SOURCE = 0  # bidder index of the source's reservation bid
-# The kernel's cap-tie tolerance, relative: a paid power this close to the
-# winner's break-even power is break-even.
-_TIE_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -154,12 +151,12 @@ def truthful_profile(inst: ScenarioInstance, params: SystemParams) -> StrategyPr
 
 def _gain(t, alpha_tilde, p, p_even):
     # Net harvest t*alpha_tilde*(p - p_even), on floats or elementwise on
-    # arrays. A gap within the cap-tie tolerance is break-even, 0.0: a winner
+    # arrays. A gap within the kernel's cap tie is break-even, 0.0: a winner
     # paid its own capped schedule nets exactly 0, not the last-bit noise of
     # recomputing p_max from the cap duration. (gap * False is -0.0 for a
     # negative gap; adding 0.0 makes it 0.0 and leaves any other value.)
     gap = p - p_even
-    return t * alpha_tilde * (gap * (abs(gap) > _TIE_REL * p) + 0.0)
+    return t * alpha_tilde * (gap * (abs(gap) > CAP_TIE_REL * p) + 0.0)
 
 
 def _net_energy(t: float, p: float, winner: int, inst: ScenarioInstance, params: SystemParams) -> float:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .mechanisms import (
     AuctionOutcome,
-    StrategyProfile,
     cooperative_baseline,
     run_mspoa,
     run_spoa,
@@ -114,21 +113,12 @@ def run_mechanism(
     mechanism: str, inst: ScenarioInstance, params: SystemParams
 ) -> AuctionOutcome:
     """Run one mechanism under truthful bidding (dominant play for MSPOA)."""
-    return _settle(mechanism, truthful_profile(inst, params), inst, params)
-
-
-def _settle(
-    mechanism: str, profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams
-) -> AuctionOutcome:
     # The rules are looked up as module globals on every call, so a wrapper
     # installed on this module (a traced run's span) sees each settlement.
-    if mechanism == "cooperative":
-        return cooperative_baseline(profile, inst, params)
-    if mechanism == "spoa":
-        return run_spoa(profile, inst, params)
-    if mechanism == "mspoa":
-        return run_mspoa(profile, inst, params)
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+    rules = {"cooperative": cooperative_baseline, "spoa": run_spoa, "mspoa": run_mspoa}
+    if mechanism not in rules:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    return rules[mechanism](truthful_profile(inst, params), inst, params)
 
 
 def _outcome_metrics(outcome: AuctionOutcome) -> tuple[float, float, float, float]:
@@ -230,9 +220,11 @@ def run_sweep(
     """One CellStats per (n, lambda, mechanism), deterministic for a seed.
 
     Work is split into fixed-size trial chunks; with n_jobs > 1 the chunks
-    run in worker processes and land in a preallocated array by index, so
-    the output is identical for any job count.
+    run in up to n_jobs worker processes, never more than there are chunks,
+    and land by index, so the output is identical for any job count.
     """
+    if n_jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {n_jobs!r}")
     mechanisms = tuple(m for m in MECHANISMS if m in cfg.mechanisms)
     lambdas = cfg.lambda_values_w
     chunks = [
@@ -241,8 +233,9 @@ def run_sweep(
         for lo in range(0, cfg.trials, _CHUNK)
     ]
     results: dict[int, np.ndarray] = {}
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    workers = min(n_jobs, len(chunks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_trial_chunk, cfg.seed, n, lo, hi, lambdas, mechanisms, geom, chan, params)
                 for (n, lo, hi) in chunks

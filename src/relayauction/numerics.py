@@ -14,6 +14,13 @@ from dataclasses import dataclass
 # Correctly rounded doubles.
 _E = 2.718281828459045
 _NEG_INV_E = -0.36787944117144233
+# W0 about its branch point: -1 + p + _SERIES_C2*p^2 + _SERIES_C3*p^3 with
+# p = sqrt(2(e*x + 1)) (Corless et al., "On the Lambert W function", Adv.
+# Comput. Math. 1996). Below -1/e + _SERIES_DX it is the answer, because
+# Halley iteration stalls where d(w e^w)/dw vanishes.
+_SERIES_C2 = -1.0 / 3.0
+_SERIES_C3 = 11.0 / 72.0
+_SERIES_DX = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -51,14 +58,11 @@ def _lambert_core(x: float, abs_tol: float, rel_tol: float, max_iter: int) -> fl
         raise ValueError(f"lambert_w0 argument {x!r} below the branch point -1/e")
     if x <= _NEG_INV_E:
         return -1.0
-    if x < _NEG_INV_E + 1e-6:
-        # Series in p = sqrt(2(e*x + 1)) about the branch point, where Halley
-        # iteration stalls because d(w e^w)/dw vanishes.
-        p = math.sqrt(2.0 * (_E * x + 1.0))
-        return -1.0 + p * (1.0 + p * (-0.3333333333333333 + p * 0.1527777777777778))
     if x < _E:
         p = math.sqrt(2.0 * (_E * x + 1.0))
-        w = -1.0 + p * (1.0 + p * (-0.3333333333333333 + p * 0.1527777777777778))
+        w = -1.0 + p * (1.0 + p * (_SERIES_C2 + p * _SERIES_C3))
+        if x < _NEG_INV_E + _SERIES_DX:
+            return w
     else:
         l1 = math.log(x)
         l2 = math.log(l1)

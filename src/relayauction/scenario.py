@@ -144,6 +144,10 @@ def has_los(p, q, geom: GeometryConfig) -> bool:
     return bool(_segments_clear(px, py, qx, qy, geom.blockage_center_m, geom.blockage_radius_m))
 
 
+class SamplingExhausted(RuntimeError, ValueError):
+    """Rejection sampling ran out of attempts: a config error, not a numerical one."""
+
+
 def sample_candidates(n: int, geom: GeometryConfig, rng: np.random.Generator) -> np.ndarray:
     """Uniform positions over the part of the box with LOS to both endpoints.
 
@@ -151,8 +155,8 @@ def sample_candidates(n: int, geom: GeometryConfig, rng: np.random.Generator) ->
     reproducibility, do not depend on how many candidates are requested at
     once). Each batch is ``rng.uniform``'s draw, low + (high - low) * u. Its
     first 32 points are tested, and the rest only when those fall short.
-    Raises RuntimeError when the budget of 10^4 attempts per candidate is
-    exhausted.
+    Raises SamplingExhausted when the budget of 10^4 attempts per candidate
+    is exhausted.
     """
     if n < 0:
         raise ValueError("candidate count must be non-negative")
@@ -176,7 +180,7 @@ def sample_candidates(n: int, geom: GeometryConfig, rng: np.random.Generator) ->
     budget = REJECTION_BUDGET * n
     while have < n:
         if attempts >= budget:
-            raise RuntimeError(
+            raise SamplingExhausted(
                 f"rejection sampling exhausted {budget} attempts for {n} candidates; "
                 f"the doubly-LOS region inside {geom.sampling_box_m} is too small"
             )

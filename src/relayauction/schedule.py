@@ -18,11 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
+from ._kernel_py import _LN2
 from .numerics import DEFAULT_TOL, ConvergenceError
-
-_LN2 = 0.6931471805599453
-# The kernel's trailing solver arguments: (abs_tol, rel_tol, max_iter).
-_SOLVER = (DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol, DEFAULT_TOL.max_iter)
 
 
 @dataclass(frozen=True)
@@ -99,10 +96,7 @@ def optimal_schedule(z: float, params: SystemParams) -> ScheduleSolution:
     the cost overflows a double.
     """
     _check_z(z)
-    t, p, c, active = kernel.schedule(
-        z, params.d_bits_per_hz, params.lambda_w, params.p_max_w, *_SOLVER
-    )
-    return ScheduleSolution(t, p, c, bool(active))
+    return ScheduleSolution(*kernel.schedule(z, params.d_bits_per_hz, params.lambda_w, params.p_max_w))
 
 
 def optimal_schedules(z: np.ndarray, params: SystemParams) -> tuple[np.ndarray, ...]:
@@ -113,13 +107,13 @@ def optimal_schedules(z: np.ndarray, params: SystemParams) -> tuple[np.ndarray, 
     is not checked. Array calls pay off at a sweep chunk's size; the scalar
     call is the reference (see ``_kernel_py`` for the agreement bounds).
     """
-    return kernel.schedules(z, params.d_bits_per_hz, params.lambda_w, params.p_max_w, *_SOLVER)
+    return kernel.schedules(z, params.d_bits_per_hz, params.lambda_w, params.p_max_w)
 
 
 def value_of_z(z: float, params: SystemParams) -> float:
     """Optimal source cost v(z); strictly increasing in z."""
     _check_z(z)
-    return kernel.value(z, params.d_bits_per_hz, params.lambda_w, params.p_max_w, *_SOLVER)
+    return kernel.value(z, params.d_bits_per_hz, params.lambda_w, params.p_max_w)
 
 
 def z_of_value(u: float, params: SystemParams) -> float:
@@ -142,7 +136,7 @@ def z_of_value(u: float, params: SystemParams) -> float:
     d, lam, p_max = params.d_bits_per_hz, params.lambda_w, params.p_max_w
     k = d * _LN2
     a = 1.0 + k * lam / u
-    s = a + kernel.lambert_w0(-math.exp(-a), *_SOLVER)
+    s = a + kernel.lambert_w0(-math.exp(-a))
     z = u * math.exp(-s) / k
     if not (s > 0.0 and -math.expm1(-s) * u / k <= p_max):
         x = k * (lam + p_max) / u
@@ -152,7 +146,7 @@ def z_of_value(u: float, params: SystemParams) -> float:
     tol_f = max(DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol * u)
     for _ in range(DEFAULT_TOL.max_iter):
         try:
-            t, p, c, active = kernel.schedule(z, d, lam, p_max, *_SOLVER)
+            t, p, c, active = kernel.schedule(z, d, lam, p_max)
         except ConvergenceError as exc:
             raise ConvergenceError(f"cannot resolve value {u!r}: {exc}") from None
         if abs(c - u) <= tol_f:

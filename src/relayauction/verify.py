@@ -28,7 +28,7 @@ from .mechanisms import (
     StrategyProfile,
 )
 from .montecarlo import SweepConfig, render_csv, run_sweep
-from .numerics import ToleranceSpec, lambert_w0, minimize_unimodal, solve_increasing
+from .numerics import _NEG_INV_E, ToleranceSpec, lambert_w0, minimize_unimodal, solve_increasing
 from .scenario import ChannelConfig, GeometryConfig, ScenarioInstance, sample_instance
 from .schedule import (
     SystemParams,
@@ -38,8 +38,6 @@ from .schedule import (
     value_of_z,
     z_of_value,
 )
-
-_NEG_INV_E = -0.36787944117144233
 
 
 @dataclass(frozen=True)

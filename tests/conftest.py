@@ -1,32 +1,22 @@
 import json
 
-import numpy as np
 import pytest
 
 from relayauction import ScenarioInstance, SystemParams
+from relayauction.verify import witness_instance
 
 
 @pytest.fixture
 def golden_params() -> SystemParams:
     # Plain-unit parameters (sigma2 = 1) so effective channels are round numbers.
-    return SystemParams(
-        d_bits_per_hz=8.0, lambda_w=1.0, p_max_w=10.0, sigma2_w=1.0, a_r_m2=1.0, alpha=0.25
-    )
+    return witness_instance()[1]
 
 
 @pytest.fixture
 def golden_instance() -> ScenarioInstance:
     # z0 = 10, z = (1, 2): candidate 1 wins under every mechanism, runner-up
     # is candidate 2, and the reservation bid never binds.
-    return ScenarioInstance(
-        candidate_positions_m=np.array([[1.0, 1.0], [2.0, 2.0]]),
-        h_s=0.1,
-        h_i=np.array([4.0 / 3.0, 4.0 / 7.0]),
-        h_si=np.array([4.0, 4.0]),
-        alpha_tilde=np.array([1.0, 1.0]),
-        z0_w=10.0,
-        z_w=np.array([1.0, 2.0]),
-    )
+    return witness_instance()[0]
 
 
 @pytest.fixture

@@ -260,6 +260,28 @@ class TestSweep:
         assert rc == 1
         assert next(iter(json.loads(config_text))) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_exhausted_sampling_box_is_a_config_error(self, tmp_path, capsys, jobs):
+        # No point of this box sees both the source and the access point; at
+        # 2 jobs the error is raised in a worker and crosses the pool.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "geometry": {"sampling_box_m": [3.4, 3.6, 3.4, 3.6]},
+            "sweep": {"n_values": [1, 2], "trials": 1},
+        }))
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--jobs", jobs])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: rejection sampling exhausted") and err.count("\n") == 1
+        assert "(3.4, 3.6, 3.4, 3.6)" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        cfg = self._smoke_config(tmp_path)
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", jobs])
+        assert rc == 1
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
     def test_invalid_json_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -162,6 +163,33 @@ class TestRunSweep:
         assert csv.splitlines()[0] == CSV_HEADER
         assert len(csv.splitlines()) == 9
 
+    def test_pool_never_outnumbers_the_chunks(self, default_setup, monkeypatch):
+        # An inline stand-in for the process pool: no process is started.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, *, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        cfg = SweepConfig(n_values=(1, 2), lambda_values_w=(1.0,), trials=5)  # two chunks
+        serial = render_csv(run_sweep(cfg, *default_setup))
+        assert render_csv(run_sweep(cfg, *default_setup, n_jobs=64)) == serial
+        assert sizes == [2]
+        run_sweep(replace(cfg, n_values=(1,)), *default_setup, n_jobs=64)  # one chunk: no pool
+        assert sizes == [2]
+
     def test_csv_round_trips_floats(self, default_setup):
         geom, chan, params = default_setup
         cfg = SweepConfig(n_values=(2,), lambda_values_w=(10.0,), trials=8)
@@ -239,6 +267,21 @@ class TestPerTrialInvariants:
         a = sample_instance(2, geom, chan, params, trial_rng(99, 2, 7))
         b = sample_instance(2, geom, chan, replace(params, lambda_w=100.0), trial_rng(99, 2, 7))
         assert np.array_equal(a.z_w, b.z_w) and a.z0_w == b.z0_w
+
+    def test_rule_is_looked_up_at_call_time(self, default_setup, monkeypatch):
+        # A traced run's span replaces montecarlo.run_mspoa; run_mechanism must call it.
+        geom, chan, params = default_setup
+        inst = sample_instance(3, geom, chan, params, trial_rng(5, 3, 0))
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return run_mspoa(*args)
+
+        monkeypatch.setattr(montecarlo, "run_mspoa", spy)
+        out = run_mechanism("mspoa", inst, params)
+        assert len(calls) == 1
+        assert out == run_mspoa(truthful_profile(inst, params), inst, params)
 
     def test_unknown_mechanism_rejected(self, default_setup):
         geom, chan, params = default_setup
