@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -67,8 +68,8 @@ def cmd_solve(args) -> int:
     if args.z is None or not args.z > 0.0:
         raise _UsageError(f"--z must be a strictly positive effective channel, got {args.z!r}")
     sol = optimal_schedule(args.z, resolved.system)
-    for name, val in vars(sol).items():
-        print(f"{name:<18} = {val!r}")
+    for f in fields(sol):
+        print(f"{f.name:<18} = {getattr(sol, f.name)!r}")
     _emit_record(write(sol, format="relayauction/schedule-solution", version=1, z_w=args.z))
     return 0
 
@@ -79,20 +80,21 @@ def cmd_auction(args) -> int:
         inst = ScenarioInstance.from_record(json.load(fh))
     outcome = run_mechanism(args.mechanism, inst, resolved.system)
     print(f"{'mechanism':<20} = {args.mechanism}")
-    for name, val in vars(outcome).items():
-        print(f"{name:<20} = {val!r}")
+    for f in fields(outcome):
+        print(f"{f.name:<20} = {getattr(outcome, f.name)!r}")
     _emit_record({"mechanism": args.mechanism, **outcome.to_record()})
     return 0
 
 
 def cmd_sweep(args) -> int:
     resolved = _resolved(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = utc_now()
     cells = run_sweep(
         resolved.sweep, resolved.geometry, resolved.channel, resolved.system, n_jobs=args.jobs
     )
+    # Only now: a sweep that fails leaves no empty output directory behind.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     write_csv(cells, csv_path)
     records_path = out_dir / "cells.json"

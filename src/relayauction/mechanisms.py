@@ -32,12 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernel_py import _LN2
 from .jsonio import MaybeInf, read_record, write
 from .kernel import CAP_TIE_REL, min_powers
 from .numerics import ConvergenceError, ScheduleOverflow
 from .scenario import ScenarioInstance
 from .schedule import (
     SystemParams,
+    _check_z,
     min_total_power,
     optimal_schedule,
     optimal_schedules,
@@ -52,7 +54,7 @@ RECORD_VERSION = 1
 SOURCE = 0  # bidder index of the source's reservation bid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bid:
     """A (duration, total source power) offer from bidder `bidder`.
 
@@ -72,7 +74,7 @@ class Bid:
             raise ValueError("bidder index must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrategyProfile:
     """All submitted bids: exactly one reservation bid plus the candidates'."""
 
@@ -94,7 +96,7 @@ class StrategyProfile:
         return read_record(cls, record, PROFILE_FORMAT, RECORD_VERSION)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuctionOutcome:
     """Winner, payment schedule, and the resulting energies.
 
@@ -159,74 +161,75 @@ def _gain(t, alpha_tilde, p, p_even):
     return t * alpha_tilde * (gap * (abs(gap) > CAP_TIE_REL * p) + 0.0)
 
 
-def _net_energy(t: float, p: float, winner: int, inst: ScenarioInstance, params: SystemParams) -> float:
-    if winner == SOURCE:
-        return 0.0
+def _net_energy(t: float, p: float, winner: int, inst: ScenarioInstance, params: SystemParams):
+    """Candidate `winner`'s net harvest when paid (t, p), and the rate
+    2^(D/t) - 1 at t.
+
+    The rate times z_w is the break-even power ``min_total_power(t, z_w)``,
+    bit for bit and after the same checks. Raises OverflowError where the
+    rate overflows a double.
+    """
+    if not t > 0.0:
+        raise ValueError(f"duration must be strictly positive, got {t!r}")
     z_w = float(inst.z_w[winner - 1])
-    e = _gain(t, float(inst.alpha_tilde[winner - 1]), p, min_total_power(t, z_w, params))
+    _check_z(z_w)
+    rate = math.expm1(params.d_bits_per_hz * _LN2 / t)
+    e = _gain(t, float(inst.alpha_tilde[winner - 1]), p, rate * z_w)
     if not math.isfinite(e):
         raise ConvergenceError(f"winner {winner}'s net energy overflows a double")
-    return e
+    return e, rate
 
 
-def _paid_score(b: Bid, params: SystemParams) -> float:
-    """The score of the bid that sets the payment, which must be finite."""
-    s = score(b, params)
+def _paid_score(b: Bid, s: float) -> float:
+    """The score s of the bid b that sets the payment, which must be finite."""
     if s == math.inf:
         raise ConvergenceError(f"bidder {b.bidder}'s score overflows a double, and it sets the payment")
     return s
 
 
-def _relay_power(t: float, winner: int, inst: ScenarioInstance, params: SystemParams):
-    # Candidate's own retransmission power (2^(D/t)-1)*sigma2/h_i at the
-    # payment duration; reported so cap violations are visible downstream.
-    # A power beyond the largest double is reported as inf, i.e. infeasible.
-    if winner == SOURCE:
-        return 0.0, True
-    z_relay = params.sigma2_w / float(inst.h_i[winner - 1])
-    if not z_relay < math.inf:
-        return math.inf, False
-    try:
-        p_relay = min_total_power(t, z_relay, params)
-    except OverflowError:
-        return math.inf, False
-    return p_relay, p_relay <= params.p_max_w
-
-
 def _winner_and_runner(
     profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams
-) -> tuple[Bid, Bid]:
-    """The shared winner rule: best and second-best score over a valid profile."""
+) -> tuple[Bid, float, Bid, float]:
+    """The shared winner rule over a valid profile: the bids with the lowest
+    and the second-lowest (score, bidder), each with its score.
+
+    One pass in bid order validates each bid and scores it once; ties break
+    toward the lowest bidder index, so the source beats candidates.
+    """
     n = inst.n_candidates
+    lam, p_max = params.lambda_w, params.p_max_w
+    best = runner = None
+    s_best = s_runner = math.inf
     for b in profile.bids:
         if b.bidder > n:
             raise ValueError(f"bid from bidder {b.bidder} but instance has {n} candidates")
-        if b.p_tot_w > params.p_max_w:
-            raise ValueError(
-                f"bid power {b.p_tot_w!r} from bidder {b.bidder} exceeds the cap {params.p_max_w!r}"
-            )
-    if len(profile.bids) < 2:
+        if b.p_tot_w > p_max:
+            raise ValueError(f"bid power {b.p_tot_w!r} from bidder {b.bidder} exceeds the cap {p_max!r}")
+        s = b.t_s * (lam + b.p_tot_w)  # score(b, params)
+        if best is None or s < s_best or (s == s_best and b.bidder < best.bidder):
+            best, s_best, runner, s_runner = b, s, best, s_best
+        elif runner is None or s < s_runner or (s == s_runner and b.bidder < runner.bidder):
+            runner, s_runner = b, s
+    if runner is None:
         raise ValueError("an auction needs at least two bids (no runner-up exists)")
-    # Ties break toward the lowest bidder index, so the source beats candidates.
-    ranked = sorted(profile.bids, key=lambda b: (score(b, params), b.bidder))
-    return ranked[0], ranked[1]
+    return best, s_best, runner, s_runner
 
 
 def _outcome(
     best: Bid, runner: Bid, t: float, p: float, cost: float, inst: ScenarioInstance, params: SystemParams
 ) -> AuctionOutcome:
     """The winner `best` paid (t, p) at source cost `cost`."""
-    relay_p, relay_ok = _relay_power(t, best.bidder, inst, params)
-    return AuctionOutcome(
-        winner=best.bidder,
-        payment_t_s=t,
-        payment_p_w=p,
-        source_cost_ws=cost,
-        winner_net_energy_j=_net_energy(t, p, best.bidder, inst, params),
-        runner_up=runner.bidder,
-        winner_relay_p_w=relay_p,
-        winner_relay_feasible=relay_ok,
-    )
+    if best.bidder == SOURCE:
+        return AuctionOutcome(SOURCE, runner.bidder, t, p, cost, 0.0)
+    # The candidate's own retransmission power (2^(D/t)-1)*sigma2/h_i at the
+    # payment duration, reported so cap violations are visible downstream.
+    # A power beyond the largest double is reported as inf, i.e. infeasible.
+    z_relay = params.sigma2_w / float(inst.h_i[best.bidder - 1])
+    if z_relay < math.inf:
+        _check_z(z_relay)  # sigma2/h_i may underflow to 0
+    net, rate = _net_energy(t, p, best.bidder, inst, params)
+    relay_p = rate * z_relay if z_relay < math.inf else math.inf
+    return AuctionOutcome(best.bidder, runner.bidder, t, p, cost, net, relay_p, relay_p <= params.p_max_w)
 
 
 def cooperative_baseline(
@@ -237,8 +240,8 @@ def cooperative_baseline(
     On the truthful profile that is the winner's optimal schedule, so a
     winning candidate exactly breaks even.
     """
-    best, runner = _winner_and_runner(profile, inst, params)
-    return _outcome(best, runner, best.t_s, best.p_tot_w, _paid_score(best, params), inst, params)
+    best, s_best, runner, _ = _winner_and_runner(profile, inst, params)
+    return _outcome(best, runner, best.t_s, best.p_tot_w, _paid_score(best, s_best), inst, params)
 
 
 def run_spoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams) -> AuctionOutcome:
@@ -247,18 +250,18 @@ def run_spoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemPar
     When the reservation bid wins, the source simply transmits at its own
     optimal schedule.
     """
-    best, runner = _winner_and_runner(profile, inst, params)
-    paid = best if best.bidder == SOURCE else runner
-    return _outcome(best, runner, paid.t_s, paid.p_tot_w, _paid_score(paid, params), inst, params)
+    best, s_best, runner, s_runner = _winner_and_runner(profile, inst, params)
+    paid, s = (best, s_best) if best.bidder == SOURCE else (runner, s_runner)
+    return _outcome(best, runner, paid.t_s, paid.p_tot_w, _paid_score(paid, s), inst, params)
 
 
 def run_mspoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams) -> AuctionOutcome:
     """Modified SPOA: pay the optimal schedule whose cost equals the
     runner-up score, i.e. map the runner-up back onto the bid manifold."""
-    best, runner = _winner_and_runner(profile, inst, params)
+    best, s_best, runner, s_runner = _winner_and_runner(profile, inst, params)
     if best.bidder == SOURCE:
-        return _outcome(best, runner, best.t_s, best.p_tot_w, _paid_score(best, params), inst, params)
-    sol = optimal_schedule(z_of_value(_paid_score(runner, params), params), params)
+        return _outcome(best, runner, best.t_s, best.p_tot_w, _paid_score(best, s_best), inst, params)
+    sol = optimal_schedule(z_of_value(_paid_score(runner, s_runner), params), params)
     return _outcome(best, runner, sol.t_star_s, sol.p_star_w, sol.cost_ws, inst, params)
 
 
@@ -329,7 +332,7 @@ def ex_post_utility(i: int, outcome: AuctionOutcome, inst: ScenarioInstance, par
     """
     if i == SOURCE or i != outcome.winner:
         return 0.0
-    return _net_energy(outcome.payment_t_s, outcome.payment_p_w, i, inst, params)
+    return _net_energy(outcome.payment_t_s, outcome.payment_p_w, i, inst, params)[0]
 
 
 def non_ic_witness(z_win: float, params: SystemParams, eps1: float, bidder: int = 1) -> Bid:

@@ -56,7 +56,7 @@ class SystemParams:
             raise ValueError("; ".join(problems))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleSolution:
     """Optimal (duration, power) pair for one effective channel.
 

@@ -32,3 +32,20 @@ def test_traced_sweep_calls_what_the_layer_metrics_divide_by():
         run_sweep(cfg, GeometryConfig(), ChannelConfig(), SystemParams())
     for name in ("scenario.sample_instance", "schedule.optimal_schedule", "numerics.lambert_w0"):
         assert tracer.calls[name] > 0, name
+
+
+def test_traced_mspoa_candidate_win_calls_what_game_fuzz_counts():
+    # game-fuzz's per-auction z_of_value calls and Lambert solves come from
+    # these names: MSPOA looks both schedule calls up in mechanisms, once
+    # per candidate win, and the kernel solves through _lambert_core.
+    from relayauction import verify
+    from relayauction.mechanisms import run_mspoa, truthful_profile
+
+    inst, params = verify.witness_instance()
+    profile = truthful_profile(inst, params)
+    with tracing.patched(tracing.Tracer()) as tracer:
+        out = run_mspoa(profile, inst, params)
+    assert out.winner == 1
+    assert tracer.calls["schedule.z_of_value"] == 1
+    assert tracer.calls["schedule.optimal_schedule"] == 1
+    assert tracer.calls["numerics.lambert_w0"] > 0

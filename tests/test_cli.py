@@ -166,6 +166,42 @@ class TestAuction:
         assert main(["auction", "--instance", str(tmp_path / "nope.json")] + GOLDEN_FLAGS) == 1
 
 
+class TestHumanLines:
+    """``solve`` and ``auction`` print one line per record field, in field
+    order, as they did before the records had slots."""
+
+    def test_solve_lines(self, capsys):
+        assert main(["solve", "--z", "1.0"] + GOLDEN_FLAGS) == 0
+        assert capsys.readouterr().out.splitlines()[:-1] == [
+            "t_star_s           = 5.545177444479562",
+            "p_star_w           = 1.718281828459045",
+            "cost_ws            = 15.07335508290976",
+            "constraint_active  = False",
+        ]
+
+    def test_auction_lines(self, golden_instance_file, capsys):
+        assert main(["auction", "--instance", str(golden_instance_file), "--mechanism", "mspoa"] + GOLDEN_FLAGS) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:-1] == [
+            "mechanism            = mspoa",
+            "winner               = 1",
+            "runner_up            = 2",
+            "payment_t_s          = 7.219916052495112",
+            "payment_p_w          = 2.3110704070033896",
+            "source_cost_ws       = 23.905650382465296",
+            "winner_net_energy_j  = 8.34286716498509",
+            "winner_relay_p_w     = 0.8666514026262713",
+            "winner_relay_feasible = True",
+        ]
+        assert json.loads(out[-1]) == {
+            "format": "relayauction/auction-outcome", "version": 1, "mechanism": "mspoa",
+            "winner": 1, "runner_up": 2, "payment_t_s": 7.219916052495112,
+            "payment_p_w": 2.3110704070033896, "source_cost_ws": 23.905650382465296,
+            "winner_net_energy_j": 8.34286716498509, "winner_relay_p_w": 0.8666514026262713,
+            "winner_relay_feasible": True,
+        }
+
+
 class TestSweep:
     def _smoke_config(self, tmp_path, trials=10):
         cfg = {
@@ -274,6 +310,7 @@ class TestSweep:
         assert rc == 1
         assert err.startswith("error: rejection sampling exhausted") and err.count("\n") == 1
         assert "(3.4, 3.6, 3.4, 3.6)" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
@@ -281,6 +318,12 @@ class TestSweep:
         rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", jobs])
         assert rc == 1
         assert "jobs must be at least 1" in capsys.readouterr().err
+
+    def test_failed_sweep_creates_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "fresh" / "out"
+        rc = main(["sweep", "--config", str(self._smoke_config(tmp_path)), "--out", str(out), "--jobs", "0"])
+        assert rc == 1
+        assert not out.exists() and not out.parent.exists()
 
     def test_invalid_json_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from relayauction import (
     truthful_profile,
     value_of_z,
 )
+from relayauction import mechanisms
 from relayauction.mechanisms import SOURCE, settle_truthful
 
 LN2 = math.log(2.0)
@@ -520,3 +523,178 @@ class TestSettleTruthful:
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(ValueError, match="unknown mechanism"):
             settle_truthful(("english",), np.ones((1, 2)), np.ones((1, 1)), SystemParams())
+
+
+def _instance(n: int, z_w=None, h_i=None, alpha_tilde=None) -> ScenarioInstance:
+    return ScenarioInstance(
+        candidate_positions_m=np.ones((n, 2)), h_s=1.0,
+        h_i=np.ones(n) if h_i is None else np.asarray(h_i, float), h_si=np.ones(n),
+        alpha_tilde=np.full(n, 0.5) if alpha_tilde is None else np.asarray(alpha_tilde, float),
+        z0_w=10.0, z_w=np.ones(n) if z_w is None else np.asarray(z_w, float),
+    )
+
+
+def _outcome_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ConvergenceError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOnePassWinnerRule:
+    """``_winner_and_runner`` against the sort it replaced: validate every
+    bid in order, then the two lowest (score, bidder)."""
+
+    @staticmethod
+    def _sorted_rule(profile, inst, params):
+        n = inst.n_candidates
+        for b in profile.bids:
+            if b.bidder > n:
+                raise ValueError(f"bid from bidder {b.bidder} but instance has {n} candidates")
+            if b.p_tot_w > params.p_max_w:
+                raise ValueError(
+                    f"bid power {b.p_tot_w!r} from bidder {b.bidder} exceeds the cap {params.p_max_w!r}"
+                )
+        if len(profile.bids) < 2:
+            raise ValueError("an auction needs at least two bids (no runner-up exists)")
+        ranked = sorted(profile.bids, key=lambda b: (score(b, params), b.bidder))
+        return ranked[0], ranked[1]
+
+    # Few distinct durations and powers, so that bidders tie on score
+    # exactly; inf durations score +inf.
+    DURATIONS = st.one_of(st.sampled_from([0.5, 1.0, 2.0, math.inf]), st.floats(1e-3, 1e3))
+    POWERS = st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(1e-3, 1.0))
+
+    @given(
+        n=st.integers(1, 8),
+        data=st.data(),
+        lam=st.sampled_from([0.5, 1.0, 3.0]),
+        # Now and then one bid exceeds the cap of 1, or comes from bidder
+        # n + 1, who is not in the instance.
+        over_cap=st.integers(0, 30),
+        stranger=st.integers(0, 30),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_sort(self, n, data, lam, over_cap, stranger):
+        params = SystemParams(lambda_w=lam, p_max_w=1.0)
+        inst = _instance(n)
+        # No candidate bids at all leaves the reservation bid without a runner-up.
+        candidates = data.draw(st.lists(st.integers(1, n), unique=True, max_size=8))
+        if stranger < len(candidates):
+            candidates[stranger] = n + 1
+        bidders = data.draw(st.permutations([SOURCE] + candidates))
+        bids = [Bid(data.draw(self.DURATIONS), data.draw(self.POWERS), i) for i in bidders]
+        if over_cap < len(bids):
+            bids[over_cap] = Bid(bids[over_cap].t_s, 1.5, bids[over_cap].bidder)
+        profile = StrategyProfile(tuple(bids))
+        expected = _outcome_or_error(self._sorted_rule, profile, inst, params)
+        got = _outcome_or_error(mechanisms._winner_and_runner, profile, inst, params)
+        if isinstance(expected[0], type):
+            assert got == expected
+            return
+        best, s_best, runner, s_runner = got
+        assert (best, runner) == expected
+        assert s_best == score(best, params) and s_runner == score(runner, params)
+
+    def test_exact_ties_and_inf_scores_break_to_the_lowest_index(self, golden_params):
+        inst = _instance(4)
+        bids = (Bid(math.inf, 1.0, 3), Bid(2.0, 1.0, 2), Bid(math.inf, 1.0, 0), Bid(2.0, 1.0, 1))
+        best, _, runner, _ = mechanisms._winner_and_runner(StrategyProfile(bids), inst, golden_params)
+        assert (best.bidder, runner.bidder) == (1, 2)
+        bids = (Bid(math.inf, 1.0, 3), Bid(math.inf, 1.0, 0))
+        best, s_best, runner, s_runner = mechanisms._winner_and_runner(StrategyProfile(bids), inst, golden_params)
+        assert (best.bidder, runner.bidder, s_best, s_runner) == (0, 3, math.inf, math.inf)
+
+
+class TestOutcomeBuilder:
+    """The winner's net energy and relay power from one rate 2^(D/t) - 1,
+    against the two ``min_total_power`` evaluations they replaced, exactly."""
+
+    @staticmethod
+    def _two_evaluations(best, runner, t, p, cost, inst, params):
+        if best.bidder == SOURCE:
+            return AuctionOutcome(SOURCE, runner.bidder, t, p, cost, 0.0, 0.0, True)
+        i = best.bidder - 1
+        z_relay = params.sigma2_w / float(inst.h_i[i])
+        if not z_relay < math.inf:
+            relay = (math.inf, False)
+        else:
+            try:
+                p_relay = min_total_power(t, z_relay, params)
+                relay = (p_relay, p_relay <= params.p_max_w)
+            except OverflowError:
+                relay = (math.inf, False)
+        p_even = min_total_power(t, float(inst.z_w[i]), params)
+        e = mechanisms._gain(t, float(inst.alpha_tilde[i]), p, p_even)
+        if not math.isfinite(e):
+            raise ConvergenceError(f"winner {best.bidder}'s net energy overflows a double")
+        return AuctionOutcome(best.bidder, runner.bidder, t, p, cost, e, *relay)
+
+    @given(
+        log_z=st.floats(-12.0, 12.0),
+        log_h_i=st.one_of(st.floats(-320.0, 3.0), st.floats(-318.5, -317.5)),
+        # Up to efficiencies whose net energy overflows a double.
+        log_alpha=st.one_of(st.floats(-3.0, 3.0), st.floats(300.0, 306.0)),
+        log_lam=st.floats(-3.0, 3.0),
+        log_pmax=st.floats(-3.0, 3.0),
+        source_wins=st.booleans(),
+        own_schedule=st.booleans(),
+        log_t=st.floats(-4.0, 6.0),
+        p_frac=st.floats(1e-6, 1.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_two_evaluations(
+        self, log_z, log_h_i, log_alpha, log_lam, log_pmax, source_wins, own_schedule, log_t, p_frac
+    ):
+        params = SystemParams(lambda_w=10.0**log_lam, p_max_w=10.0**log_pmax, sigma2_w=1e-9)
+        z = 10.0**log_z
+        inst = _instance(2, z_w=[z, 2.0 * z], h_i=[10.0**log_h_i, 1.0], alpha_tilde=[10.0**log_alpha, 1.0])
+        if own_schedule:
+            # Paid its own schedule: break-even, to the cap tie where the cap binds.
+            sol = optimal_schedule(z, params)
+            t, p = sol.t_star_s, sol.p_star_w
+        else:
+            t, p = 10.0**log_t, p_frac * params.p_max_w
+        best = Bid(t, p, SOURCE if source_wins else 1)
+        runner = Bid(1.0, params.p_max_w, 1 if source_wins else 2)
+        args = (best, runner, t, p, t * (params.lambda_w + p), inst, params)
+        expected = _outcome_or_error(self._two_evaluations, *args)
+        got = _outcome_or_error(mechanisms._outcome, *args)
+        assert got == expected
+        if isinstance(got, AuctionOutcome):
+            assert repr(got) == repr(expected)  # -0.0 and 0.0 compare equal
+            assert ex_post_utility(got.winner, got, inst, params) == got.winner_net_energy_j
+
+
+class TestSlottedRecords:
+    @pytest.fixture
+    def records(self, golden_instance, golden_params):
+        profile = truthful_profile(golden_instance, golden_params)
+        return (
+            profile.bids[1],
+            profile,
+            run_mspoa(profile, golden_instance, golden_params),
+            optimal_schedule(1.0, golden_params),
+        )
+
+    def test_they_have_slots_and_no_dict(self, records):
+        for rec in records:
+            assert not hasattr(rec, "__dict__") and type(rec).__slots__
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, dataclasses.fields(rec)[0].name, None)
+
+    def test_pickle_and_replace_round_trip(self, records):
+        for rec in records:
+            back = pickle.loads(pickle.dumps(rec))
+            assert back == rec and repr(back) == repr(rec)
+            assert dataclasses.replace(rec) == rec
+        bid, profile, outcome, sol = records
+        assert dataclasses.replace(bid, bidder=2).bidder == 2
+        assert dataclasses.replace(outcome, winner_relay_p_w=math.inf).winner_relay_p_w == math.inf
+        with pytest.raises(ValueError, match="strictly positive"):
+            dataclasses.replace(bid, t_s=0.0)  # replace re-runs the checks
+
+    def test_records_round_trip(self, records):
+        _, profile, outcome, _ = records
+        assert StrategyProfile.from_record(profile.to_record()) == profile
+        assert AuctionOutcome.from_record(outcome.to_record()) == outcome
