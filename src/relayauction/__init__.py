@@ -9,7 +9,10 @@ Monte Carlo sweep harness.
 
 __version__ = "0.1.0"
 
-from .kernel import backend_name
+# The benchmark's tracer (perfbench/tracing.py) patches the kernel's
+# _lambert_core and value under this old name; ROADMAP item 1 removes it.
+from . import kernel as _kernel_py  # noqa: F401
+from .kernel import backend_name, lambert_w0
 from .mechanisms import (
     AuctionOutcome,
     Bid,
@@ -28,7 +31,6 @@ from .montecarlo import CellStats, SweepConfig, aggregate, run_sweep
 from .numerics import (
     ConvergenceError,
     ToleranceSpec,
-    lambert_w0,
     minimize_unimodal,
     solve_increasing,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 import typing
 from dataclasses import MISSING, asdict, fields, is_dataclass
@@ -32,6 +33,11 @@ _WORDS = {float: "a finite number", MaybeInf: "a finite number or null", int: "a
 
 # Cached per class: get_type_hints costs more than a whole read.
 _hints = functools.cache(typing.get_type_hints)
+
+
+def is_finite_number(val) -> bool:
+    # What read takes for a float: a real number, not a bool, finite as a double.
+    return isinstance(val, numbers.Real) and not isinstance(val, (bool, np.bool_)) and abs(val) <= _FLOAT_MAX
 
 
 class FieldErrors(ValueError):
@@ -58,7 +64,7 @@ def read(hint, val, where: str, problems: list[str]):
     if hint is MaybeInf and val is None:
         return math.inf
     if hint is float or hint is MaybeInf:
-        if isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) <= _FLOAT_MAX:
+        if is_finite_number(val):
             return float(val)
     elif hint is int:
         if isinstance(val, int) and not isinstance(val, bool):

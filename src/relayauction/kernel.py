@@ -1,13 +1,190 @@
-"""The transmit-schedule kernel's entry points.
+"""The transmit-schedule kernel: the package's only one.
 
-``lambert_w0``, ``cost``, ``min_power``, ``schedule`` and ``value`` come
-from ``_kernel_py``, the package's only kernel, as do ``schedules`` and
-``min_powers``, its array twins for the sweep, and the cap tie ``CAP_TIE_REL``.
+The hot entry points are ``lambert_w0``, ``schedule`` (closed-form optimum
+for one effective channel) and ``value`` (its cost). The inverse of the
+value map is a closed form on top of these, in ``schedule.z_of_value``.
+
+``schedules`` and ``min_powers`` are their numpy twins over an array of
+channels, for the sweep's chunks: the same initial guesses, branch-point
+series, Halley stopping rule and cap tie, element by element. They agree
+with the scalar kernel to numpy's last-bit differences in ``exp``,
+``expm1`` and ``log1p``: cost to rel 1e-14, duration and power to rel 1e-9
+(the Lambert conditioning near the branch point), and the same cap flags.
+A one-element array call costs far more than the scalar call, so single
+auctions stay on the scalar kernel, which is the reference.
 """
 
 from __future__ import annotations
 
-from ._kernel_py import CAP_TIE_REL, cost, lambert_w0, min_power, min_powers, schedule, schedules, value
+import math
+
+import numpy as np
+
+from .numerics import DEFAULT_TOL, ConvergenceError
+
+# Correctly rounded doubles.
+_E = 2.718281828459045
+_NEG_INV_E = -0.36787944117144233
+_LN2 = 0.6931471805599453
+_INV_E = 0.36787944117144233
+# W0 about its branch point: -1 + p + _SERIES_C2*p^2 + _SERIES_C3*p^3 with
+# p = sqrt(2(e*x + 1)) (Corless et al., "On the Lambert W function", Adv.
+# Comput. Math. 1996). Below -1/e + _SERIES_DX it is the answer, because
+# Halley iteration stalls where d(w e^w)/dw vanishes.
+_SERIES_C2 = -1.0 / 3.0
+_SERIES_C3 = 11.0 / 72.0
+_SERIES_DX = 1e-6
+# Relative gap within which the unconstrained duration meets the cap's and
+# the cap counts as binding.
+CAP_TIE_REL = 1e-12
+# Every Lambert solve runs to the package's default tolerances.
+_ABS_TOL, _REL_TOL, _MAX_ITER = DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol, DEFAULT_TOL.max_iter
+# lam/z below which w + 1 comes from the branch-point series: the same
+# threshold, x < -1/e + _SERIES_DX, at which _lambert_core returns that series.
+_SERIES_R = _E * _SERIES_DX
+
+
+class ScheduleOverflow(ConvergenceError):
+    """A channel's optimal schedule costs more than the largest double."""
+
+
+def _lambert_core(x, abs_tol, rel_tol, max_iter):
+    if x < _NEG_INV_E - abs_tol:
+        raise ValueError(f"lambert_w0 argument {x!r} below the branch point -1/e")
+    if x <= _NEG_INV_E:
+        return -1.0
+    if x < _E:
+        p = math.sqrt(2.0 * (_E * x + 1.0))
+        w = -1.0 + p * (1.0 + p * (_SERIES_C2 + p * _SERIES_C3))
+        if x < _NEG_INV_E + _SERIES_DX:
+            return w
+    else:
+        l1 = math.log(x)
+        l2 = math.log(l1)
+        w = l1 - l2 + l2 / l1
+    tol_f = abs_tol if abs_tol > rel_tol * abs(x) else rel_tol * abs(x)
+    for _ in range(max_iter):
+        ew = math.exp(w)
+        f = w * ew - x
+        if abs(f) <= tol_f:
+            return w
+        wp1 = w + 1.0
+        w = w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+    raise ConvergenceError(f"lambert_w0 did not converge for x={x!r}")
+
+
+def lambert_w0(x, abs_tol=_ABS_TOL, rel_tol=_REL_TOL, max_iter=_MAX_ITER):
+    """Principal branch of the Lambert W function for real x >= -1/e.
+
+    Returns w >= -1 with ``|w*exp(w) - x| <= max(abs_tol, rel_tol*|x|)``.
+    Uses a branch-aware initial guess refined by Halley iteration; near the
+    branch point the series in sqrt(2(e*x+1)) is returned directly.
+    """
+    return _lambert_core(x, abs_tol, rel_tol, max_iter)
+
+
+def cost(t, z, d, lam):
+    return t * (lam + min_power(t, z, d))
+
+
+def min_power(t, z, d):
+    # expm1 keeps 2^(d/t) - 1 exact at long durations.
+    return math.expm1(d * _LN2 / t) * z
+
+
+def schedule(z, d, lam, p_max):
+    """Closed-form minimizer of t*(lam + (2^(d/t)-1)*z) s.t. power <= p_max.
+
+    Returns ``(t, p, cost, active)`` where active is True when the power cap
+    binds (ties within rel CAP_TIE_REL count as active). Raises
+    ScheduleOverflow when the cost is not finite, i.e. the cap duration
+    overflows for huge z.
+    """
+    r = lam / z
+    if r < _SERIES_R:
+        # W0((r - 1)/e) + 1 as a series in q = sqrt(2r), taken before
+        # r - 1 cancels against 1.
+        q = math.sqrt(2.0 * r)
+        wp1 = q * (1.0 + q * (_SERIES_C2 + q * _SERIES_C3))
+    else:
+        wp1 = _lambert_core((r - 1.0) * _INV_E, _ABS_TOL, _REL_TOL, _MAX_ITER) + 1.0
+    t_unc = d * _LN2 / wp1 if wp1 > 0.0 else 0.0
+    cap_rate = math.log1p(p_max / z)
+    t_min = d * _LN2 / cap_rate if cap_rate > 0.0 else math.inf
+    if t_unc >= t_min:
+        t = t_unc
+        active = (t_unc - t_min) <= CAP_TIE_REL * t_unc
+    else:
+        t = t_min
+        active = True
+    p = p_max if active else min_power(t, z, d)
+    c = t * (lam + p)
+    if not math.isfinite(c):
+        raise ScheduleOverflow(f"no finite schedule for z={z!r}")
+    return t, p, c, active
+
+
+def value(z, d, lam, p_max):
+    return schedule(z, d, lam, p_max)[2]
+
+
+def min_powers(t, z, d):
+    """``min_power`` elementwise over arrays; inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.expm1(d * _LN2 / t) * z
+
+
+def _lambert_w0s(x):
+    # _lambert_core over an array with every x >= -1/e: the series below
+    # -1/e + _SERIES_DX, elsewhere Halley steps until each element meets the
+    # scalar's residual test. A converged element's w no longer changes,
+    # so neither does its residual. Runs under schedules' errstate: the
+    # branch not taken by np.where may see log of a negative number.
+    p = np.sqrt(2.0 * (_E * x + 1.0))
+    series = -1.0 + p * (1.0 + p * (_SERIES_C2 + p * _SERIES_C3))
+    l1 = np.log(x)
+    l2 = np.log(l1)
+    w = np.where(x < _E, series, l1 - l2 + l2 / l1)
+    fixed = x < _NEG_INV_E + _SERIES_DX
+    ax = np.abs(x)
+    tol_f = np.where(_ABS_TOL > _REL_TOL * ax, _ABS_TOL, _REL_TOL * ax)
+    for _ in range(_MAX_ITER):
+        ew = np.exp(w)
+        f = w * ew - x
+        done = fixed | (np.abs(f) <= tol_f)
+        if done.all():
+            return w
+        wp1 = w + 1.0
+        w = np.where(done, w, w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1)))
+    bad = x[~done][0]
+    raise ConvergenceError(f"lambert_w0 did not converge for x={float(bad)!r}")
+
+
+def schedules(z, d, lam, p_max):
+    """``schedule`` elementwise over an array of z: ``(t, p, cost, active)``
+    arrays of z's shape, ``active`` boolean.
+
+    A cost that overflows is +inf here rather than an error. Raises
+    ConvergenceError when a Lambert solve exhausts its iteration budget.
+    """
+    z = np.asarray(z, float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = lam / z
+        near = r < _SERIES_R
+        q = np.sqrt(2.0 * r)
+        series = q * (1.0 + q * (_SERIES_C2 + q * _SERIES_C3))
+        # Series elements take the branch point instead: no Halley steps.
+        x = np.where(near, _NEG_INV_E, (r - 1.0) * _INV_E)
+        wp1 = np.where(near, series, _lambert_w0s(x) + 1.0)
+        t_unc = np.where(wp1 > 0.0, d * _LN2 / wp1, 0.0)
+        cap_rate = np.log1p(p_max / z)
+        t_min = np.where(cap_rate > 0.0, d * _LN2 / cap_rate, math.inf)
+        unc = t_unc >= t_min
+        t = np.where(unc, t_unc, t_min)
+        active = ~unc | ((t_unc - t_min) <= CAP_TIE_REL * t_unc)
+        p = np.where(active, p_max, np.expm1(d * _LN2 / t) * z)
+        c = t * (lam + p)
+    return t, p, c, active
 
 
 def backend_name() -> str:

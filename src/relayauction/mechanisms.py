@@ -32,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel_py import _LN2
 from .jsonio import MaybeInf, read_record, write
-from .kernel import CAP_TIE_REL, min_powers
-from .numerics import ConvergenceError, ScheduleOverflow
+from .kernel import _LN2, CAP_TIE_REL, ScheduleOverflow, min_powers
+from .numerics import ConvergenceError
 from .scenario import ScenarioInstance
 from .schedule import (
     SystemParams,

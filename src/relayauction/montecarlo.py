@@ -14,6 +14,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
+from .jsonio import is_finite_number
 from .mechanisms import (
     AuctionOutcome,
     cooperative_baseline,
@@ -45,6 +46,9 @@ class SweepConfig:
         integers = (*self.n_values, self.trials, self.seed)
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in integers):
             raise ValueError("n_values entries, trials and seed must be integers")
+        # Checked too: float(True) and float("10") would silently run 1 and 10.
+        if not all(map(is_finite_number, self.lambda_values_w)):
+            raise ValueError(f"lambda_values_w entries must be finite numbers, got {self.lambda_values_w!r}")
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "lambda_values_w", tuple(float(v) for v in self.lambda_values_w))
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
@@ -56,8 +60,9 @@ class SweepConfig:
         if any(n < 1 for n in self.n_values):
             problems.append("every n must be at least 1")
         # A repeated n would count its trials twice and understate every
-        # standard error; a repeated delay power would duplicate its rows.
-        for name in ("n_values", "lambda_values_w"):
+        # standard error; a repeated delay power or mechanism would duplicate
+        # its rows.
+        for name in ("n_values", "lambda_values_w", "mechanisms"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 problems.append(f"{name} entries must be distinct")
         if not all(0.0 < v < math.inf for v in self.lambda_values_w):

@@ -1,9 +1,9 @@
-"""Scalar numerics: principal-branch Lambert W, golden-section minimization,
-and monotone root finding.
+"""Scalar numerics: golden-section minimization and monotone root finding.
 
 ``minimize_unimodal`` and ``solve_increasing`` act as independent
 cross-checks for the closed-form schedule and for its closed-form inverse,
-so they must not share code with the schedule kernel.
+so they must not share code with the schedule kernel: this module imports
+nothing from the package. The Lambert W solver lives in ``kernel``.
 """
 
 from __future__ import annotations
@@ -11,24 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Correctly rounded doubles.
-_E = 2.718281828459045
-_NEG_INV_E = -0.36787944117144233
-# W0 about its branch point: -1 + p + _SERIES_C2*p^2 + _SERIES_C3*p^3 with
-# p = sqrt(2(e*x + 1)) (Corless et al., "On the Lambert W function", Adv.
-# Comput. Math. 1996). Below -1/e + _SERIES_DX it is the answer, because
-# Halley iteration stalls where d(w e^w)/dw vanishes.
-_SERIES_C2 = -1.0 / 3.0
-_SERIES_C3 = 11.0 / 72.0
-_SERIES_DX = 1e-6
-
 
 class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget."""
-
-
-class ScheduleOverflow(ConvergenceError):
-    """A channel's optimal schedule costs more than the largest double."""
 
 
 @dataclass(frozen=True)
@@ -51,41 +36,6 @@ class ToleranceSpec:
 
 
 DEFAULT_TOL = ToleranceSpec()
-
-
-def _lambert_core(x: float, abs_tol: float, rel_tol: float, max_iter: int) -> float:
-    if x < _NEG_INV_E - abs_tol:
-        raise ValueError(f"lambert_w0 argument {x!r} below the branch point -1/e")
-    if x <= _NEG_INV_E:
-        return -1.0
-    if x < _E:
-        p = math.sqrt(2.0 * (_E * x + 1.0))
-        w = -1.0 + p * (1.0 + p * (_SERIES_C2 + p * _SERIES_C3))
-        if x < _NEG_INV_E + _SERIES_DX:
-            return w
-    else:
-        l1 = math.log(x)
-        l2 = math.log(l1)
-        w = l1 - l2 + l2 / l1
-    tol_f = abs_tol if abs_tol > rel_tol * abs(x) else rel_tol * abs(x)
-    for _ in range(max_iter):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= tol_f:
-            return w
-        wp1 = w + 1.0
-        w = w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-    raise ConvergenceError(f"lambert_w0 did not converge for x={x!r}")
-
-
-def lambert_w0(x: float, tol: ToleranceSpec = DEFAULT_TOL) -> float:
-    """Principal branch of the Lambert W function for real x >= -1/e.
-
-    Returns w >= -1 with ``|w*exp(w) - x| <= max(abs_tol, rel_tol*|x|)``.
-    Uses a branch-aware initial guess refined by Halley iteration; near the
-    branch point the series in sqrt(2(e*x+1)) is returned directly.
-    """
-    return _lambert_core(float(x), tol.abs_tol, tol.rel_tol, tol.max_iter)
 
 
 def minimize_unimodal(f, lo: float, hi: float, tol: ToleranceSpec = DEFAULT_TOL):
@@ -145,39 +95,25 @@ def solve_increasing(
     tol_f = max(tol.abs_tol, tol.rel_tol * abs(target))
     if abs(fa - target) <= tol_f:
         return a
-    if fa < target:
-        step = abs(a) if abs(a) > 1.0 else 1.0
-        cur = a
-        for _ in range(tol.max_iter):
-            nxt = cur + step
-            fn = f(nxt)
-            if fn >= target:
-                lo, hi = cur, nxt
-                break
-            cur = nxt
+    # One bracket search in the direction of the target: upward it doubles
+    # its step; downward it halves the gap to lo_bound when it would cross it.
+    up = fa < target
+    step = abs(a) if abs(a) > 1.0 else 1.0
+    cur = a
+    for _ in range(tol.max_iter):
+        nxt = cur + step if up else cur - step
+        if not up and lo_bound is not None and nxt <= lo_bound:
+            nxt = 0.5 * (cur + lo_bound)
+        fn = f(nxt)
+        if (fn >= target) if up else (fn <= target):
+            lo, hi = (cur, nxt) if up else (nxt, cur)
+            break
+        cur = nxt
+        if up or lo_bound is None:
             step *= 2.0
-        else:
-            raise ConvergenceError(
-                f"bracket expansion failed above lo_hint={lo_hint!r}"
-            )
     else:
-        step = abs(a) if abs(a) > 1.0 else 1.0
-        cur = a
-        for _ in range(tol.max_iter):
-            nxt = cur - step
-            if lo_bound is not None and nxt <= lo_bound:
-                nxt = 0.5 * (cur + lo_bound)
-            fn = f(nxt)
-            if fn <= target:
-                lo, hi = nxt, cur
-                break
-            cur = nxt
-            if lo_bound is None:
-                step *= 2.0
-        else:
-            raise ConvergenceError(
-                f"bracket expansion failed below lo_hint={lo_hint!r}"
-            )
+        side = "above" if up else "below"
+        raise ConvergenceError(f"bracket expansion failed {side} lo_hint={lo_hint!r}")
     for _ in range(tol.max_iter):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -187,6 +123,4 @@ def solve_increasing(
             lo = mid
         else:
             hi = mid
-    raise ConvergenceError(
-        f"bisection residual above tolerance for target={target!r}"
-    )
+    raise ConvergenceError(f"bisection residual above tolerance for target={target!r}")

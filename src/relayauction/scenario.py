@@ -10,11 +10,12 @@ Channel powers combine a log-distance law with unit-mean exponential
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .jsonio import Points, read_record, write
+from .jsonio import Points, is_finite_number, read_record, write
 from .schedule import SystemParams
 
 RECORD_FORMAT = "relayauction/scenario-instance"
@@ -28,6 +29,18 @@ _BATCH = 256
 _PREFIX = 32
 
 
+def _require_finite_numbers(config) -> None:
+    # Each field is a number or a tuple of them. The range checks would let
+    # True and inf through, so those are rejected first, each field named.
+    problems = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not all(map(is_finite_number, value if isinstance(value, (tuple, list, np.ndarray)) else (value,))):
+            problems.append(f"{f.name} must be a finite number or a tuple of them, not {value!r}")
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 @dataclass(frozen=True)
 class GeometryConfig:
     """Positions are meters; the access point is pinned at the origin."""
@@ -39,6 +52,7 @@ class GeometryConfig:
     sampling_box_m: tuple[float, float, float, float] = (1.5, 6.5, 1.5, 6.5)
 
     def __post_init__(self):
+        _require_finite_numbers(self)
         problems = []
         if not self.blockage_radius_m > 0.0:
             problems.append("blockage_radius_m must be strictly positive")
@@ -66,6 +80,7 @@ class ChannelConfig:
     eta_los: float = 2.5
 
     def __post_init__(self):
+        _require_finite_numbers(self)
         if not (self.eta_nlos > self.eta_los > 0.0):
             raise ValueError(
                 "expected eta_nlos > eta_los > 0 (the direct link must fade deeper)"
@@ -95,18 +110,21 @@ class ScenarioInstance:
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValueError(f"candidate_positions_m must be a list of [x, y] pairs, got shape {pos.shape}")
         n = len(pos)
-        if not (self.h_s > 0.0 and self.z0_w > 0.0):
-            raise ValueError("source channel and z0 must be strictly positive")
         names = ("h_i", "h_si", "alpha_tilde", "z_w")
         for name in names:
             arr = np.asarray(getattr(self, name), float)
             object.__setattr__(self, name, arr)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have one entry per candidate position, got shape {arr.shape}")
-        # One test for all four arrays; the first that fails is named.
-        if n and not np.concatenate([getattr(self, name) for name in names]).min() > 0.0:
-            bad = next(name for name in names if not getattr(self, name).min() > 0.0)
-            raise ValueError(f"{bad} entries must be strictly positive")
+        # Finite and > 0, as the record path requires: one test for all four
+        # arrays; the first field in declaration order that fails is named.
+        values = np.concatenate([getattr(self, name) for name in names])
+        finite = 0.0 < self.h_s < math.inf and 0.0 < self.z0_w < math.inf
+        if not (finite and (not n or values.min() > 0.0 and values.max() < math.inf)):
+            for name in ("h_s", "h_i", "h_si", "alpha_tilde", "z0_w", "z_w"):
+                value = np.asarray(getattr(self, name))
+                if not ((value > 0.0) & (value < np.inf)).all():
+                    raise ValueError(f"{name}{' entries' if value.ndim else ''} must be strictly positive and finite")
 
     @property
     def n_candidates(self) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from ._kernel_py import _LN2
+from .kernel import _LN2
 from .numerics import DEFAULT_TOL, ConvergenceError
 
 
@@ -105,7 +105,7 @@ def optimal_schedules(z: np.ndarray, params: SystemParams) -> tuple[np.ndarray, 
 
     A cost that overflows a double is +inf here rather than an error, and z
     is not checked. Array calls pay off at a sweep chunk's size; the scalar
-    call is the reference (see ``_kernel_py`` for the agreement bounds).
+    call is the reference (see ``kernel`` for the agreement bounds).
     """
     return kernel.schedules(z, params.d_bits_per_hz, params.lambda_w, params.p_max_w)
 

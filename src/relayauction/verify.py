@@ -28,7 +28,8 @@ from .mechanisms import (
     StrategyProfile,
 )
 from .montecarlo import SweepConfig, render_csv, run_sweep
-from .numerics import _NEG_INV_E, ToleranceSpec, lambert_w0, minimize_unimodal, solve_increasing
+from .kernel import _NEG_INV_E, lambert_w0
+from .numerics import ToleranceSpec, minimize_unimodal, solve_increasing
 from .scenario import ChannelConfig, GeometryConfig, ScenarioInstance, sample_instance
 from .schedule import (
     SystemParams,

@@ -1,0 +1,36 @@
+"""Module boundaries that no single behaviour test would notice breaking."""
+
+import ast
+from pathlib import Path
+
+import relayauction
+
+PACKAGE = Path(relayauction.__file__).resolve().parent
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_numerics_imports_nothing_from_the_package():
+    # Its solvers are the oracles the kernel is checked against.
+    tree = _trees()["numerics"]
+    relative, absolute = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (relative if node.level else absolute).append(node.module)
+        elif isinstance(node, ast.Import):
+            absolute += [alias.name for alias in node.names]
+    assert "math" in absolute
+    assert relative == []
+    assert not [name for name in absolute if name.split(".")[0] == "relayauction"]
+
+
+def test_one_module_defines_the_lambert_solver():
+    defining = [
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("lambert_w0", "_lambert_core")
+    ]
+    assert sorted(set(defining)) == ["kernel"]

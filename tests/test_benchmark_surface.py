@@ -16,9 +16,29 @@ from perfbench import kernelbench, run, tracing, workloads  # noqa: E402,F401
 
 
 def test_tracer_pins_exist_and_host_facts_read():
+    import relayauction
+
+    # The tracer imports the kernel as _kernel_py and patches it there.
+    assert relayauction._kernel_py is relayauction.kernel
     with tracing.patched(tracing.Tracer()):
         pass
     assert run.host_facts()["nproc"] >= 1
+
+
+def test_kernel_micro_benchmark_runs_clean_on_real_inputs():
+    # kernelbench calls kernel.lambert_w0 with all four of its arguments.
+    import numpy as np
+
+    from relayauction.scenario import ChannelConfig, GeometryConfig, sample_instance
+    from relayauction.schedule import SystemParams, value_of_z
+
+    params = SystemParams()
+    inst = sample_instance(4, GeometryConfig(), ChannelConfig(), params, np.random.default_rng(3))
+    zs = [(float(z), params) for z in (inst.z0_w, *inst.z_w)]
+    us = [(value_of_z(z, p), p) for z, p in zs]
+    metrics, problems, _ = kernelbench.measure(zs, us, min_s=0.01)
+    assert problems == []
+    assert all(rate > 0.0 for rate in metrics.values())
 
 
 def test_traced_sweep_calls_what_the_layer_metrics_divide_by():

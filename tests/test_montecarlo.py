@@ -69,6 +69,20 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(lambda_values_w=(True,)),  # would run lambda = 1
+            dict(lambda_values_w=("10",)),  # would run lambda = 10
+            dict(lambda_values_w=(1.0, math.inf)),
+            dict(mechanisms=("mspoa", "mspoa")),  # would duplicate its rows
+        ],
+        ids=["lambda-bool", "lambda-str", "lambda-inf", "mechanism-twice"],
+    )
+    def test_rejects_and_names_the_field(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SweepConfig(**kwargs)
+
     def test_numpy_integers_are_plain_ints(self):
         cfg = SweepConfig(n_values=(np.int64(2), np.int32(3)), trials=np.int64(4))
         assert cfg.n_values == (2, 3) and all(type(n) is int for n in cfg.n_values)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relayauction.kernel import lambert_w0
 from relayauction.numerics import (
     ConvergenceError,
     ToleranceSpec,
-    lambert_w0,
     minimize_unimodal,
     solve_increasing,
 )
@@ -53,7 +53,7 @@ class TestLambertW0:
 
     def test_non_convergence_raises(self):
         with pytest.raises(ConvergenceError):
-            lambert_w0(0.5, ToleranceSpec(abs_tol=1e-12, rel_tol=1e-30, max_iter=1))
+            lambert_w0(0.5, 1e-12, 1e-30, 1)
 
     def test_residuals_on_log_sample(self):
         rng = np.random.default_rng(7)

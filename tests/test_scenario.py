@@ -72,6 +72,27 @@ class TestConfigs:
         with pytest.raises(ValueError):
             ChannelConfig(eta_nlos=2.0, eta_los=2.5)
 
+    # The range checks alone would take each of these: True > 0.0 holds, and
+    # an infinite source position clears every blockage disc.
+    @pytest.mark.parametrize(
+        "cls,name,value",
+        [
+            (GeometryConfig, "blockage_radius_m", True),
+            (GeometryConfig, "q_s_m", (math.inf, math.inf)),
+            (ChannelConfig, "k_nlos_db", math.nan),
+            (ChannelConfig, "k_los_db", math.inf),
+        ],
+        ids=["radius-bool", "source-inf", "k-nlos-nan", "k-los-inf"],
+    )
+    def test_rejects_bools_and_non_finite_numbers(self, cls, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            cls(**{name: value})
+
+    def test_numpy_numbers_and_arrays_are_numbers(self):
+        geom = GeometryConfig(q_s_m=np.array([7.0, 7.0]), blockage_radius_m=np.float64(1.0))
+        assert geom.blockage_radius_m == 1.0
+        assert ChannelConfig(k_los_db=np.int64(0)).k_los_db == 0
+
 
 class TestHasLos:
     def test_clear_segment_far_from_disc(self):
@@ -192,6 +213,23 @@ class TestInstances:
     def test_first_non_positive_array_is_named(self, golden_instance):
         fields = {**vars(golden_instance), "h_si": np.array([1.0, -1.0]), "z_w": np.array([0.0, 1.0])}
         with pytest.raises(ValueError, match="h_si entries"):
+            ScenarioInstance(**fields)
+
+    @pytest.mark.parametrize("name", ["h_s", "z0_w", "h_i", "h_si", "alpha_tilde", "z_w"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_channel_is_named(self, golden_instance, name, bad):
+        # The record path rejects these; the constructor must too.
+        value = getattr(golden_instance, name)
+        if isinstance(value, np.ndarray):
+            value = np.array([value[0], bad])
+        else:
+            value = bad
+        with pytest.raises(ValueError, match=rf"^{name}\b.*strictly positive and finite"):
+            ScenarioInstance(**{**vars(golden_instance), name: value})
+
+    def test_first_bad_field_in_declaration_order_is_named(self, golden_instance):
+        fields = {**vars(golden_instance), "h_i": np.array([1.0, math.inf]), "z0_w": 0.0}
+        with pytest.raises(ValueError, match="^h_i entries"):
             ScenarioInstance(**fields)
 
     def test_deterministic_for_seed(self):
