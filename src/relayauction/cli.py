@@ -65,8 +65,6 @@ def _emit_record(record: dict) -> None:
 
 def cmd_solve(args) -> int:
     resolved = _resolved(args)
-    if args.z is None or not args.z > 0.0:
-        raise _UsageError(f"--z must be a strictly positive effective channel, got {args.z!r}")
     sol = optimal_schedule(args.z, resolved.system)
     for f in fields(sol):
         print(f"{f.name:<18} = {getattr(sol, f.name)!r}")

@@ -4,8 +4,12 @@
 by the same rules for a config section as for a stored record (the README's
 "Config schema" lists them). A field with no default must be present, keys
 that name no field are ignored, and every problem is collected, the
-dataclass's own ``ValueError`` included. ``write`` is the inverse: fields
-as JSON values, tuples and arrays as lists, non-finite floats as null.
+dataclass's own ``ValueError`` included. It also takes numpy numbers and
+arrays, which JSON never holds, as plain Python values. ``check_fields``
+applies the same rule to a dataclass instance's own fields, so the config
+dataclasses' constructors type their arguments as the reader does.
+``write`` is the inverse: fields as JSON values, tuples and arrays as
+lists, non-finite floats as null.
 """
 
 from __future__ import annotations
@@ -37,7 +41,12 @@ _hints = functools.cache(typing.get_type_hints)
 
 def is_finite_number(val) -> bool:
     # What read takes for a float: a real number, not a bool, finite as a double.
-    return isinstance(val, numbers.Real) and not isinstance(val, (bool, np.bool_)) and abs(val) <= _FLOAT_MAX
+    # Integers and fractions compare exactly (float(10**400) raises); other
+    # reals convert first, since comparing a float32 with _FLOAT_MAX casts the
+    # bound to inf.
+    if isinstance(val, (bool, np.bool_)) or not isinstance(val, numbers.Real):
+        return False
+    return abs(val) <= _FLOAT_MAX if isinstance(val, numbers.Rational) else math.isfinite(val)
 
 
 class FieldErrors(ValueError):
@@ -67,11 +76,11 @@ def read(hint, val, where: str, problems: list[str]):
         if is_finite_number(val):
             return float(val)
     elif hint is int:
-        if isinstance(val, int) and not isinstance(val, bool):
-            return val
+        if isinstance(val, (int, np.integer)) and not isinstance(val, bool):
+            return int(val)
     elif hint is str or hint is bool:
         if isinstance(val, hint):
-            return val
+            return hint(val)
     elif is_dataclass(hint):
         if isinstance(val, dict):
             hints, values = _hints(hint), {}
@@ -87,7 +96,7 @@ def read(hint, val, where: str, problems: list[str]):
             except ValueError as exc:
                 problems.append(f"{where}: {exc}")
                 return None
-    elif isinstance(val, (list, tuple)):
+    elif isinstance(val, (list, tuple)) or isinstance(val, np.ndarray) and val.ndim:
         list_hint, shape = _ARRAYS.get(hint, (hint, None))
         items = typing.get_args(list_hint)
         if items[-1] is Ellipsis:
@@ -99,6 +108,18 @@ def read(hint, val, where: str, problems: list[str]):
             return out if shape is None else np.array(out, float).reshape(shape)
     problems.append(f"{where} must be {_describe(hint)}, got {val!r}")
     return None
+
+
+def check_fields(obj) -> None:
+    """Types each field of the dataclass instance ``obj`` in place by
+    ``read``'s rule, storing the value ``read`` returns; raises one
+    ValueError naming every mistyped field."""
+    problems: list[str] = []
+    hints = _hints(type(obj))
+    for f in fields(obj):
+        object.__setattr__(obj, f.name, read(hints[f.name], getattr(obj, f.name), f.name, problems))
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 def read_record(cls, record, format: str, version: int):

@@ -57,10 +57,11 @@ SOURCE = 0  # bidder index of the source's reservation bid
 class Bid:
     """A (duration, total source power) offer from bidder `bidder`.
 
-    bidder 0 is the source's reservation bid; candidates are 1..n.
+    bidder 0 is the source's reservation bid; candidates are 1..n. t_s is
+    inf for a channel whose schedule overflows (see ``truthful_bid``).
     """
 
-    t_s: float
+    t_s: MaybeInf
     p_tot_w: float
     bidder: int
 

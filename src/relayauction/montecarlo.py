@@ -14,7 +14,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .jsonio import is_finite_number
+from .jsonio import check_fields
 from .mechanisms import (
     AuctionOutcome,
     cooperative_baseline,
@@ -42,16 +42,7 @@ class SweepConfig:
     mechanisms: tuple[str, ...] = ("cooperative", "mspoa")
 
     def __post_init__(self):
-        # Integers are checked, not truncated: int(1.5) would silently run n = 1.
-        integers = (*self.n_values, self.trials, self.seed)
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in integers):
-            raise ValueError("n_values entries, trials and seed must be integers")
-        # Checked too: float(True) and float("10") would silently run 1 and 10.
-        if not all(map(is_finite_number, self.lambda_values_w)):
-            raise ValueError(f"lambda_values_w entries must be finite numbers, got {self.lambda_values_w!r}")
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "lambda_values_w", tuple(float(v) for v in self.lambda_values_w))
-        object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
+        check_fields(self)
         problems = []
         if self.trials < 1:
             problems.append("trials must be at least 1")

@@ -11,11 +11,11 @@ Channel powers combine a log-distance law with unit-mean exponential
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import Points, is_finite_number, read_record, write
+from .jsonio import Points, check_fields, read_record, write
 from .schedule import SystemParams
 
 RECORD_FORMAT = "relayauction/scenario-instance"
@@ -29,18 +29,6 @@ _BATCH = 256
 _PREFIX = 32
 
 
-def _require_finite_numbers(config) -> None:
-    # Each field is a number or a tuple of them. The range checks would let
-    # True and inf through, so those are rejected first, each field named.
-    problems = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if not all(map(is_finite_number, value if isinstance(value, (tuple, list, np.ndarray)) else (value,))):
-            problems.append(f"{f.name} must be a finite number or a tuple of them, not {value!r}")
-    if problems:
-        raise ValueError("; ".join(problems))
-
-
 @dataclass(frozen=True)
 class GeometryConfig:
     """Positions are meters; the access point is pinned at the origin."""
@@ -52,7 +40,7 @@ class GeometryConfig:
     sampling_box_m: tuple[float, float, float, float] = (1.5, 6.5, 1.5, 6.5)
 
     def __post_init__(self):
-        _require_finite_numbers(self)
+        check_fields(self)
         problems = []
         if not self.blockage_radius_m > 0.0:
             problems.append("blockage_radius_m must be strictly positive")
@@ -80,7 +68,7 @@ class ChannelConfig:
     eta_los: float = 2.5
 
     def __post_init__(self):
-        _require_finite_numbers(self)
+        check_fields(self)
         if not (self.eta_nlos > self.eta_los > 0.0):
             raise ValueError(
                 "expected eta_nlos > eta_los > 0 (the direct link must fade deeper)"

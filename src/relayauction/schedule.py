@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
+from .jsonio import check_fields
 from .kernel import _LN2
 from .numerics import DEFAULT_TOL, ConvergenceError
 
@@ -42,13 +43,10 @@ class SystemParams:
     alpha: float = 0.2
 
     def __post_init__(self):
+        check_fields(self)
         problems = []
         for name in ("d_bits_per_hz", "lambda_w", "p_max_w", "sigma2_w", "a_r_m2", "alpha"):
-            value = getattr(self, name)
-            # True > 0.0 holds, so a bool would pass the range check below.
-            if isinstance(value, (bool, np.bool_)):
-                problems.append(f"SystemParams.{name} must be a number, not {value!r}")
-            elif not value > 0.0:
+            if not getattr(self, name) > 0.0:
                 problems.append(f"SystemParams.{name} must be strictly positive")
         if self.alpha > 1.0:
             problems.append("SystemParams.alpha must not exceed 1")

@@ -217,7 +217,9 @@ def _arbitrary_opponents(inst, params, rng, focal) -> StrategyProfile:
         if j == focal:
             bids.append(truthful_bid(z, params, j))
         else:
-            bids.append(sample_deviations(z, params, 1, rng, bidder=j)[0])
+            # One of the three kinds at random: manifold misreport,
+            # log-perturbation or the witness (sample_deviations' order).
+            bids.append(sample_deviations(z, params, 3, rng, bidder=j)[rng.integers(3)])
     return StrategyProfile(tuple(bids))
 
 

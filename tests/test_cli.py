@@ -38,8 +38,9 @@ class TestSolve:
         assert record["constraint_active"]
 
     def test_invalid_channel_usage_error(self, capsys):
-        assert main(["solve", "--z", "-3"]) == 1
-        assert main(["solve", "--z", "0"]) == 1
+        for z in ("-3", "0", "nan", "inf"):
+            assert main(["solve", "--z", z]) == 1
+            assert "effective channel must be strictly positive and finite" in capsys.readouterr().err
 
     def test_missing_subcommand_usage_error(self):
         assert main([]) == 1
@@ -296,6 +297,14 @@ class TestSweep:
         assert rc == 1
         assert next(iter(json.loads(config_text))) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config_text", ["[1, 2]", "3", "null"])
+    def test_top_level_not_an_object(self, tmp_path, capsys, config_text):
+        path = tmp_path / "cfg.json"
+        path.write_text(config_text)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "top level must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_exhausted_sampling_box_is_a_config_error(self, tmp_path, capsys, jobs):
         # No point of this box sees both the source and the access point; at
@@ -388,6 +397,12 @@ class TestVerify:
         assert main(["verify", "--level", "full"]) == 3
         record, _ = _last_record(capsys)
         assert record["failed"] == 1
+
+    def test_unknown_level_is_a_value_error(self):
+        from relayauction.verify import checks_for_level
+
+        with pytest.raises(ValueError, match="unknown verification level 'nope'"):
+            checks_for_level("nope")
 
     def test_real_single_check_through_cli_plumbing(self, monkeypatch, capsys):
         from relayauction import verify as verify_mod

@@ -78,6 +78,14 @@ class TestBidAndProfile:
         outcome = run_spoa(profile, golden_instance, golden_params)
         assert AuctionOutcome.from_record(outcome.to_record()) == outcome
 
+    def test_overflowing_bid_round_trips(self):
+        # A schedule that overflows bids t = inf, which the record writes as null.
+        params = SystemParams()
+        profile = StrategyProfile((truthful_bid(10.0, params, 0), truthful_bid(1e308, params, 1)))
+        record = json.loads(json.dumps(profile.to_record(), allow_nan=False))
+        assert record["bids"][1]["t_s"] is None
+        assert StrategyProfile.from_record(record) == profile
+
     def test_profile_record_names_every_bad_bid(self, golden_instance, golden_params):
         record = truthful_profile(golden_instance, golden_params).to_record()
         record["bids"][0]["t_s"] = "1.0"
@@ -393,6 +401,28 @@ class TestIncentiveFuzzSmoke:
         res = check_mspoa_ic_fuzz(instances=60, deviations=30)
         assert res.passed, res.detail
 
+    def test_mspoa_opponents_bid_every_kind_of_deviation(self):
+        # Each opponent bids a channel misreport (on the manifold of optimal
+        # schedules), a log-perturbation of its truthful bid, or the witness.
+        from relayauction.verify import _arbitrary_opponents, _fuzz_setup
+
+        kinds = []
+        for k in range(40):
+            inst, params, rng, focal = _fuzz_setup(k, 511)
+            for b in _arbitrary_opponents(inst, params, rng, focal).bids[1:]:
+                z = float(inst.z_w[b.bidder - 1])
+                if b.bidder == focal:
+                    assert b == truthful_bid(z, params, focal)
+                elif b == non_ic_witness(z, params, z / 4.0, b.bidder):
+                    kinds.append("witness")
+                else:
+                    # The channel whose break-even power at t_s is p_tot_w.
+                    z_said = b.p_tot_w / math.expm1(params.d_bits_per_hz * LN2 / b.t_s)
+                    on_manifold = optimal_schedule(z_said, params).t_star_s == pytest.approx(b.t_s, rel=1e-9)
+                    kinds.append("misreport" if on_manifold else "perturbation")
+        counts = {kind: kinds.count(kind) for kind in ("misreport", "perturbation", "witness")}
+        assert all(counts.values()), counts
+
     def test_spoa_truthful_is_equilibrium(self):
         from relayauction.verify import check_spoa_ne_fuzz
 
@@ -485,6 +515,19 @@ class TestOverflowingBidder:
         for mech in ("spoa", "mspoa"):
             with pytest.raises(ConvergenceError, match="score overflows"):
                 settle_truthful((mech,), z, alpha, self.PARAMS)
+
+
+    def test_overflowing_net_energy_fails_as_in_the_scalar_rules(self):
+        alpha_tilde = np.full(2, 1e308)
+        inst = self._instance(10.0, [1.0, 2.0])
+        inst = dataclasses.replace(inst, alpha_tilde=alpha_tilde)
+        profile = truthful_profile(inst, self.PARAMS)
+        for name, mechanism in (("cooperative", cooperative_baseline), ("spoa", run_spoa), ("mspoa", run_mspoa)):
+            with pytest.raises(ConvergenceError) as scalar:
+                mechanism(profile, inst, self.PARAMS)
+            with pytest.raises(ConvergenceError) as array:
+                settle_truthful((name,), np.array([[10.0, 1.0, 2.0]]), alpha_tilde[None], self.PARAMS)
+            assert str(array.value) == str(scalar.value) == "winner 1's net energy overflows a double"
 
 
 class TestSettleTruthful:
