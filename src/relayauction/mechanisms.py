@@ -20,9 +20,9 @@ retransmission would exceed the transmit cap; the mechanisms do not enforce
 that cap, mirroring the source-side-only constraint of the underlying
 optimization.
 
-``settle_truthful`` is the same winner rule and the same payments over a
-batch of truthful auctions at once, as arrays, for the sweep; the scalar
-rules are its reference.
+``settle`` is the same winner rule and the same payments over a batch of
+auctions at once, as arrays, for the sweep and the deviation fuzzes; the
+scalar rules are its reference.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import MaybeInf, read_record, write
+from .jsonio import MaybeInf, plain, read_record, write
 from .kernel import _LN2, CAP_TIE_REL, ScheduleOverflow, min_powers
 from .numerics import ConvergenceError
 from .scenario import ScenarioInstance
@@ -41,7 +41,6 @@ from .schedule import (
     _check_z,
     min_total_power,
     optimal_schedule,
-    optimal_schedules,
     value_of_z,  # noqa: F401  (the name traced runs wrap; see perfbench/tracing.py)
     z_of_value,
 )
@@ -66,10 +65,13 @@ class Bid:
     bidder: int
 
     def __post_init__(self):
+        if type(self.t_s) is not float or type(self.p_tot_w) is not float or type(self.bidder) is not int:
+            for name, hint in (("t_s", MaybeInf), ("p_tot_w", float), ("bidder", int)):
+                object.__setattr__(self, name, plain(hint, getattr(self, name), name))
         if not self.t_s > 0.0:
             raise ValueError("bid duration must be strictly positive")
-        if not self.p_tot_w > 0.0:
-            raise ValueError("bid power must be strictly positive")
+        if not 0.0 < self.p_tot_w < math.inf:
+            raise ValueError("bid power must be strictly positive and finite")
         if self.bidder < 0:
             raise ValueError("bidder index must be non-negative")
 
@@ -265,16 +267,20 @@ def run_mspoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemPa
     return _outcome(best, runner, sol.t_star_s, sol.p_star_w, sol.cost_ws, inst, params)
 
 
-def settle_truthful(
-    mechanisms: tuple[str, ...], z: np.ndarray, alpha_tilde: np.ndarray, params: SystemParams
+def settle(
+    mechanisms: tuple[str, ...], t: np.ndarray, p: np.ndarray, z: np.ndarray, alpha_tilde: np.ndarray,
+    params: SystemParams,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Settle a batch of truthful auctions under each mechanism, as arrays.
+    """Settle a batch of auctions under each mechanism, as arrays.
 
-    Row i is one auction: z[i] = [z0, z_1..z_n] and alpha_tilde[i] its
-    candidates' efficiencies. Every bid comes from one array-kernel call; a
-    cost that overflows scores +inf. The winner and the runner-up are each
-    row's two lowest (score, bidder). Cooperative pays the winner's
-    schedule, SPOA the runner-up's, and MSPOA
+    Row i is one auction: bidder j bids (t[i, j], p[i, j]), the reservation
+    bid in column 0, and z[i] = [z0, z_1..z_n] and alpha_tilde[i] are its
+    channels and candidates' efficiencies. Bids are taken as valid (t > 0,
+    0 < p <= p_max), as the kernel's schedules and ``sample_deviations``
+    build them. A bid scores t*(lambda + p), the kernel's cost expression,
+    so an overflow scores +inf. The winner and the runner-up are each
+    row's two lowest (score, bidder). Cooperative pays the winner's bid,
+    SPOA the runner-up's, and MSPOA
     ``optimal_schedule(z_of_value(runner-up score))``, once per candidate
     win; a winning source pays its own. No Bid, StrategyProfile or
     AuctionOutcome is built.
@@ -284,7 +290,8 @@ def settle_truthful(
     scalar rules do: a payment set by a +inf score, or a net energy that
     overflows.
     """
-    t, p, c, _ = optimal_schedules(z, params)
+    with np.errstate(over="ignore"):
+        c = t * (params.lambda_w + p)
     rows = np.arange(len(z))
     order = np.argsort(c, axis=1, kind="stable")  # ties to the lower bidder index
     best, runner = order[:, 0], order[:, 1]

@@ -20,11 +20,11 @@ from .mechanisms import (
     cooperative_baseline,
     run_mspoa,
     run_spoa,
-    settle_truthful,
+    settle,
     truthful_profile,
 )
 from .scenario import ChannelConfig, GeometryConfig, ScenarioInstance, sample_instance
-from .schedule import SystemParams
+from .schedule import SystemParams, optimal_schedules
 
 MECHANISMS = ("cooperative", "spoa", "mspoa")
 CELLS_FORMAT = "relayauction/sweep-cells"
@@ -149,10 +149,12 @@ def _trial_chunk(
         alpha_tilde[i] = inst.alpha_tilde
     out = np.empty((hi - lo, len(lambdas), len(mechanisms), 4))
     for j, lam in enumerate(lambdas):
-        winner, settled = settle_truthful(mechanisms, z, alpha_tilde, replace(params, lambda_w=lam))
-        for m, (t, p, net) in enumerate(settled):
-            out[:, j, m, 0] = t
-            out[:, j, m, 1] = t * p
+        cell = replace(params, lambda_w=lam)
+        t, p, _, _ = optimal_schedules(z, cell)
+        winner, settled = settle(mechanisms, t, p, z, alpha_tilde, cell)
+        for m, (paid_t, paid_p, net) in enumerate(settled):
+            out[:, j, m, 0] = paid_t
+            out[:, j, m, 1] = paid_t * paid_p
             out[:, j, m, 2] = net
             out[:, j, m, 3] = winner == 0
     return out

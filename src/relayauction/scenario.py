@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import Points, check_fields, read_record, write
+from .jsonio import Points, check_fields, plain, read_record, write
 from .schedule import SystemParams
 
 RECORD_FORMAT = "relayauction/scenario-instance"
@@ -93,14 +93,16 @@ class ScenarioInstance:
     z_w: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        pos = np.asarray(self.candidate_positions_m, float)
+        pos = plain(Points, self.candidate_positions_m, "candidate_positions_m")
         object.__setattr__(self, "candidate_positions_m", pos)
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValueError(f"candidate_positions_m must be a list of [x, y] pairs, got shape {pos.shape}")
+        for name in ("h_s", "z0_w"):
+            object.__setattr__(self, name, plain(float, getattr(self, name), name))
         n = len(pos)
         names = ("h_i", "h_si", "alpha_tilde", "z_w")
         for name in names:
-            arr = np.asarray(getattr(self, name), float)
+            arr = plain(np.ndarray, getattr(self, name), name)
             object.__setattr__(self, name, arr)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have one entry per candidate position, got shape {arr.shape}")

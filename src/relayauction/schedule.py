@@ -47,9 +47,9 @@ class SystemParams:
         problems = []
         for name in ("d_bits_per_hz", "lambda_w", "p_max_w", "sigma2_w", "a_r_m2", "alpha"):
             if not getattr(self, name) > 0.0:
-                problems.append(f"SystemParams.{name} must be strictly positive")
+                problems.append(f"{name} must be strictly positive")
         if self.alpha > 1.0:
-            problems.append("SystemParams.alpha must not exceed 1")
+            problems.append("alpha must not exceed 1")
         if problems:
             raise ValueError("; ".join(problems))
 

@@ -382,7 +382,7 @@ class TestVerify:
     def test_all_pass_exits_zero(self, monkeypatch, capsys):
         ok = CheckResult("stub-pass", True, "fine", 0.0)
         monkeypatch.setattr(
-            "relayauction.cli.run_level", lambda level, emit=print: [ok]
+            "relayauction.cli.run_level", lambda level: [ok]
         )
         assert main(["verify", "--level", "fast"]) == 0
         record, _ = _last_record(capsys)
@@ -392,11 +392,19 @@ class TestVerify:
         # A corrupted build must be caught and escalated as exit code 3.
         bad = CheckResult("stub-sign-flip", False, "flipped", 0.0)
         monkeypatch.setattr(
-            "relayauction.cli.run_level", lambda level, emit=print: [bad]
+            "relayauction.cli.run_level", lambda level: [bad]
         )
         assert main(["verify", "--level", "full"]) == 3
         record, _ = _last_record(capsys)
         assert record["failed"] == 1
+
+    def test_shipped_fast_level_passes(self, capsys):
+        # Every fast check for real, with nothing mocked; its two deviation
+        # fuzzes settle 100 instances x 40 deviations each as batches.
+        assert main(["verify", "--level", "fast"]) == 0
+        record, out = _last_record(capsys)
+        assert (record["passed"], record["failed"]) == (7, 0)
+        assert out.count("PASS ") == 7
 
     def test_unknown_level_is_a_value_error(self):
         from relayauction.verify import checks_for_level

@@ -29,7 +29,8 @@ from relayauction import (
     value_of_z,
 )
 from relayauction import mechanisms
-from relayauction.mechanisms import SOURCE, settle_truthful
+from relayauction.mechanisms import SOURCE, settle
+from relayauction.schedule import optimal_schedules
 
 LN2 = math.log(2.0)
 
@@ -40,6 +41,12 @@ WITNESS_T = 7.412053850787681
 WITNESS_P = 0.5565221203585975
 WITNESS_SCORE = 11.53702577604015
 V_OF_1 = 15.07335508290976
+
+
+def _settle_truthful(mechs, z, alpha_tilde, params):
+    # The sweep's call: every bidder bids its own schedule from the array kernel.
+    t, p, _, _ = optimal_schedules(z, params)
+    return settle(mechs, t, p, z, alpha_tilde, params)
 
 
 def _single_candidate_instance(z0: float, z1: float) -> ScenarioInstance:
@@ -60,6 +67,28 @@ class TestBidAndProfile:
             Bid(0.0, 1.0, 1)
         with pytest.raises(ValueError):
             Bid(1.0, -1.0, 1)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1.0, 0.5, True), "bidder must be an integer, got True"),
+            ((1.0, 0.5, 1.0), "bidder must be an integer, got 1.0"),
+            (("1", 0.5, 1), "t_s must be a finite number or null, got '1'"),
+            ((1.0, np.bool_(True), 1), "p_tot_w must be a finite number, got np.True_"),
+            ((1.0, math.inf, 1), "bid power must be strictly positive and finite"),
+        ],
+    )
+    def test_bid_rejects_what_its_record_reader_rejects(self, args, message):
+        with pytest.raises(ValueError) as err:
+            Bid(*args)
+        assert str(err.value) == message
+
+    def test_bid_stores_numbers_as_its_record_reader_does(self):
+        bid = Bid(np.float32(1.5), 1, np.int64(2))
+        assert (type(bid.t_s), type(bid.p_tot_w), type(bid.bidder)) == (float, float, int)
+        profile = StrategyProfile((Bid(1.0, 1.0, 0), bid))
+        record = json.loads(json.dumps(profile.to_record(), allow_nan=False))
+        assert StrategyProfile.from_record(record) == profile
 
     def test_profile_requires_single_reservation(self):
         with pytest.raises(ValueError):
@@ -508,14 +537,13 @@ class TestOverflowingBidder:
     def test_the_array_rule_agrees(self):
         z = np.array([[10.0, 1.0, 3e307], [3e307, 1.0, 3e307]])
         alpha = np.full((2, 2), 0.5)
-        winner, [(t, _, _)] = settle_truthful(("cooperative",), z, alpha, self.PARAMS)
+        winner, [(t, _, _)] = _settle_truthful(("cooperative",), z, alpha, self.PARAMS)
         assert winner.tolist() == [1, 1] and np.isfinite(t).all()
-        _, settled = settle_truthful(("spoa", "mspoa"), z[:1], alpha[:1], self.PARAMS)
+        _, settled = _settle_truthful(("spoa", "mspoa"), z[:1], alpha[:1], self.PARAMS)
         assert all(np.isfinite(t).all() for t, _, _ in settled)
         for mech in ("spoa", "mspoa"):
             with pytest.raises(ConvergenceError, match="score overflows"):
-                settle_truthful((mech,), z, alpha, self.PARAMS)
-
+                _settle_truthful((mech,), z, alpha, self.PARAMS)
 
     def test_overflowing_net_energy_fails_as_in_the_scalar_rules(self):
         alpha_tilde = np.full(2, 1e308)
@@ -526,46 +554,98 @@ class TestOverflowingBidder:
             with pytest.raises(ConvergenceError) as scalar:
                 mechanism(profile, inst, self.PARAMS)
             with pytest.raises(ConvergenceError) as array:
-                settle_truthful((name,), np.array([[10.0, 1.0, 2.0]]), alpha_tilde[None], self.PARAMS)
+                _settle_truthful((name,), np.array([[10.0, 1.0, 2.0]]), alpha_tilde[None], self.PARAMS)
             assert str(array.value) == str(scalar.value) == "winner 1's net energy overflows a double"
 
 
-class TestSettleTruthful:
-    """The array winner rule against the scalar mechanisms, its reference."""
+class TestSettle:
+    """The array winner rule against the scalar mechanisms, its reference,
+    on arbitrary valid profiles."""
+
+    RULES = {"cooperative": cooperative_baseline, "spoa": run_spoa, "mspoa": run_mspoa}
+    # A tie copies the bid to its left, so two bidders score the same
+    # exactly; an overflow bids as truthful_bid does for a channel whose
+    # schedule overflows, and scores +inf.
+    KINDS = ("truthful", "misreport", "perturbation", "witness", "tie", "overflow")
+    # Net energies are t*alpha*(p - p_even) with p_even = expm1(D*ln2/t)*z:
+    # np.expm1 in the array rule, math.expm1 in the scalar one. Each is
+    # within an ulp or two of the rate, so the two net energies may differ
+    # by a few ulps of t*alpha*max(p, p_even); this bound allows 8.
+    ULPS = 8
+
+    @staticmethod
+    def _bid(kind, z, params, bidder, left, u):
+        truth = truthful_bid(z, params, bidder)
+        if kind == "misreport":
+            return truthful_bid(z * 10.0 ** (2.0 * u[0]), params, bidder)
+        if kind == "perturbation":
+            p = truth.p_tot_w * math.exp(u[1])
+            return Bid(truth.t_s * math.exp(u[0]), min(p, params.p_max_w), bidder)
+        if kind == "witness":
+            return non_ic_witness(z, params, z / 4.0, bidder)
+        if kind == "tie" and left is not None:
+            return Bid(left.t_s, left.p_tot_w, bidder)
+        if kind == "overflow":
+            return Bid(math.inf, params.p_max_w, bidder)
+        return truth
 
     @given(
-        log_z=st.lists(st.lists(st.floats(-6.0, 6.0), min_size=4, max_size=4), min_size=1, max_size=12),
         n=st.integers(1, 3),
+        rows=st.integers(1, 8),
         log_lam=st.floats(-2.0, 2.0),
         log_pmax=st.floats(-2.0, 2.0),
+        data=st.data(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_the_scalar_mechanisms(self, log_z, n, log_lam, log_pmax):
+    def test_matches_the_scalar_mechanisms(self, n, rows, log_lam, log_pmax, data):
         params = SystemParams(lambda_w=10.0**log_lam, p_max_w=10.0**log_pmax)
-        z = 10.0 ** np.array(log_z)[:, : n + 1]
-        alpha = np.full((len(z), n), 0.3)
-        mechs = (cooperative_baseline, run_spoa, run_mspoa)
-        winner, settled = settle_truthful(("cooperative", "spoa", "mspoa"), z, alpha, params)
-        for i, row in enumerate(z):
-            inst = ScenarioInstance(
+        log_z = st.lists(st.floats(-6.0, 6.0), min_size=rows * (n + 1), max_size=rows * (n + 1))
+        z = 10.0 ** np.array(data.draw(log_z)).reshape(rows, n + 1)
+        log_alpha = st.lists(st.floats(-2.0, 2.0), min_size=rows * n, max_size=rows * n)
+        alpha = 10.0 ** np.array(data.draw(log_alpha)).reshape(rows, n)
+        profiles, insts = [], []
+        for i in range(rows):
+            bids = []
+            for j in range(n + 1):
+                kind = data.draw(st.sampled_from(self.KINDS))
+                u = data.draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+                bids.append(self._bid(kind, float(z[i, j]), params, j, bids[-1] if bids else None, u))
+            profiles.append(StrategyProfile(tuple(bids)))
+            insts.append(ScenarioInstance(
                 candidate_positions_m=np.ones((n, 2)), h_s=1.0, h_i=np.ones(n), h_si=np.ones(n),
-                alpha_tilde=alpha[i], z0_w=float(row[0]), z_w=row[1:],
-            )
-            profile = truthful_profile(inst, params)
-            scores = sorted(score(b, params) for b in profile.bids)
-            if scores[1] - scores[0] <= 1e-12 * scores[1]:
-                continue  # a tie the last bits may break either way
-            for mechanism, (t, p, net) in zip(mechs, settled):
-                out = mechanism(profile, inst, params)
+                alpha_tilde=alpha[i], z0_w=float(z[i, 0]), z_w=z[i, 1:],
+            ))
+        t = np.array([[b.t_s for b in prof.bids] for prof in profiles])
+        p = np.array([[b.p_tot_w for b in prof.bids] for prof in profiles])
+        for mech, rule in self.RULES.items():
+            expected = [_outcome_or_error(rule, prof, inst, params) for prof, inst in zip(profiles, insts)]
+            failed = [e for e in expected if not isinstance(e, AuctionOutcome)]
+            got = _outcome_or_error(settle, (mech,), t, p, z, alpha, params)
+            if failed:
+                # The batch fails as one of its rows does; settle the rest.
+                assert isinstance(got[0], type) and got in failed
+                ok = [i for i, e in enumerate(expected) if isinstance(e, AuctionOutcome)]
+                if not ok:
+                    continue
+                got = settle((mech,), t[ok], p[ok], z[ok], alpha[ok], params)
+                expected = [expected[i] for i in ok]
+                rows_z, rows_alpha = z[ok], alpha[ok]
+            else:
+                rows_z, rows_alpha = z, alpha
+            winner, [(paid_t, paid_p, net)] = got
+            for i, out in enumerate(expected):
                 assert winner[i] == out.winner
-                assert t[i] == pytest.approx(out.payment_t_s, rel=1e-9)
-                assert t[i] * p[i] == pytest.approx(out.payment_t_s * out.payment_p_w, rel=1e-9)
-                scale = out.payment_t_s * out.payment_p_w * (alpha[i, out.winner - 1] if out.winner else 0.0)
-                assert abs(net[i] - out.winner_net_energy_j) <= 1e-9 * scale
+                assert (paid_t[i], paid_p[i]) == (out.payment_t_s, out.payment_p_w)
+                if out.winner == SOURCE:
+                    assert net[i] == out.winner_net_energy_j == 0.0
+                    continue
+                p_even = min_total_power(out.payment_t_s, float(rows_z[i, out.winner]), params)
+                scale = out.payment_t_s * rows_alpha[i, out.winner - 1] * max(out.payment_p_w, p_even)
+                assert abs(net[i] - out.winner_net_energy_j) <= self.ULPS * np.spacing(scale)
 
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(ValueError, match="unknown mechanism"):
-            settle_truthful(("english",), np.ones((1, 2)), np.ones((1, 1)), SystemParams())
+            settle(("english",), np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 1)), SystemParams())
 
 
 def _instance(n: int, z_w=None, h_i=None, alpha_tilde=None) -> ScenarioInstance:

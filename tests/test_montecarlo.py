@@ -19,7 +19,7 @@ from relayauction import (
     truthful_profile,
 )
 from relayauction import montecarlo
-from relayauction.mechanisms import AuctionOutcome, score, settle_truthful
+from relayauction.mechanisms import AuctionOutcome, score, settle
 from relayauction.montecarlo import (
     CSV_HEADER,
     MECHANISMS,
@@ -28,6 +28,7 @@ from relayauction.montecarlo import (
     run_mechanism,
     trial_rng,
 )
+from relayauction.schedule import optimal_schedules
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +228,8 @@ class TestSharedProfile:
             alpha = np.array([inst.alpha_tilde for inst in insts])
             for j, lam in enumerate(lambdas):
                 cell = replace(params, lambda_w=lam)
-                winners, _ = settle_truthful(MECHANISMS, z, alpha, cell)
+                t, p, _, _ = optimal_schedules(z, cell)
+                winners, _ = settle(MECHANISMS, t, p, z, alpha, cell)
                 for i, inst in enumerate(insts):
                     scores = sorted(score(b, cell) for b in truthful_profile(inst, cell).bids)
                     tie = scores[1] - scores[0] <= 1e-12 * scores[1]

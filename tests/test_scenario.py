@@ -283,6 +283,39 @@ class TestInstances:
         with pytest.raises(ValueError, match=next(iter(changes))):
             ScenarioInstance(**fields)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("h_s", True, "h_s must be a finite number, got True"),
+            ("h_s", np.bool_(True), "h_s must be a finite number, got np.True_"),
+            ("h_s", "2.0", "h_s must be a finite number, got '2.0'"),
+            ("z0_w", None, "z0_w must be a finite number, got None"),
+            ("h_i", ["1.0", "2.0"], "h_i must be a list of finite numbers, got ['1.0', '2.0']"),
+            ("h_si", np.array([True, True]), "h_si must be a list of finite numbers, got array([ True,  True])"),
+            # numpy makes [True, 2.0] a float array; the list's items are looked at.
+            ("alpha_tilde", [True, 2.0], "alpha_tilde must be a list of finite numbers, got [True, 2.0]"),
+            ("candidate_positions_m", [[1.0, 1.0], [True, 2.0]],
+             "candidate_positions_m must be a list of [x, y] pairs, got [[1.0, 1.0], [True, 2.0]]"),
+        ],
+    )
+    def test_rejects_what_its_record_reader_rejects(self, golden_instance, name, value, message):
+        with pytest.raises(ValueError) as err:
+            ScenarioInstance(**{**vars(golden_instance), name: value})
+        assert str(err.value) == message
+        record = {**golden_instance.to_record(), name: value.tolist() if isinstance(value, np.ndarray) else value}
+        with pytest.raises(ValueError, match=name):
+            ScenarioInstance.from_record(record)
+
+    def test_numbers_it_takes_are_stored_as_its_reader_stores_them(self, golden_instance):
+        inst = ScenarioInstance(**{
+            **vars(golden_instance), "h_s": np.float32(0.5), "z0_w": 2, "h_i": [1, 2], "z_w": np.array([1, 2]),
+        })
+        assert type(inst.h_s) is float and type(inst.z0_w) is float
+        assert inst.h_i.dtype == inst.z_w.dtype == np.float64
+        record = json.loads(json.dumps(inst.to_record(), allow_nan=False))
+        back = ScenarioInstance.from_record(record)
+        assert back.to_record() == inst.to_record()
+
     def test_record_format_guard(self):
         with pytest.raises(ValueError, match="scenario-instance"):
             ScenarioInstance.from_record({"format": "something-else", "version": 1})

@@ -51,6 +51,20 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(lambda_w=-1.0), "lambda_w must be strictly positive"),
+            (dict(sigma2_w=0.0, a_r_m2=-1.0), "sigma2_w must be strictly positive; a_r_m2 must be strictly positive"),
+            (dict(alpha=1.5), "alpha must not exceed 1"),
+        ],
+    )
+    def test_range_messages_start_with_the_field_name(self, kwargs, message):
+        # As the typing messages do ("lambda_w must be a finite number, got inf").
+        with pytest.raises(ValueError) as err:
+            SystemParams(**kwargs)
+        assert str(err.value) == message
+
     def test_alpha_one_allowed(self):
         assert SystemParams(alpha=1.0).alpha == 1.0
 
