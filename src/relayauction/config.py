@@ -14,8 +14,11 @@ hides one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import platform
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+
+import numpy as np
 
 from .jsonio import FieldErrors, read, write
 from .montecarlo import SweepConfig
@@ -23,7 +26,9 @@ from .scenario import ChannelConfig, GeometryConfig
 from .schedule import SystemParams
 
 MANIFEST_FORMAT = "relayauction/run-manifest"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
+# The float64 ufuncs whose SIMD target can change a sweep's last bits.
+SIMD_UFUNCS = ("power", "sqrt", "exp", "expm1", "log1p")
 
 SECTIONS = {
     "system": SystemParams,
@@ -83,9 +88,21 @@ def load_config(path) -> dict:
     return config
 
 
+def simd_targets() -> dict:
+    """numpy's current SIMD target for each of SIMD_UFUNCS on float64, as
+    ``opt_func_info`` names it; all None on numpy < 2, which cannot say."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return dict.fromkeys(SIMD_UFUNCS)
+    info = opt_func_info(f"^({'|'.join(SIMD_UFUNCS)})$", "float64")
+    return {name: next(iter(info.get(name, {}).values()), {}).get("current") for name in SIMD_UFUNCS}
+
+
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to reproduce a run, defaults included."""
+    """Everything needed to reproduce a run, defaults included, and the
+    Python, numpy and SIMD targets that produced its bytes."""
 
     config_path: str
     resolved_params: dict
@@ -93,6 +110,9 @@ class RunManifest:
     seed: int
     started: str
     finished: str
+    python: str = field(default_factory=platform.python_version)
+    numpy: str = np.__version__
+    simd_targets: dict = field(default_factory=simd_targets)
 
     def to_record(self) -> dict:
         return write(self, format=MANIFEST_FORMAT, version=MANIFEST_VERSION)

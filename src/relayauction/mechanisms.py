@@ -281,9 +281,9 @@ def settle(
     so an overflow scores +inf. The winner and the runner-up are each
     row's two lowest (score, bidder). Cooperative pays the winner's bid,
     SPOA the runner-up's, and MSPOA
-    ``optimal_schedule(z_of_value(runner-up score))``, once per candidate
-    win; a winning source pays its own. No Bid, StrategyProfile or
-    AuctionOutcome is built.
+    ``optimal_schedule(z_of_value(runner-up score))``, once per distinct
+    score among the candidate wins; a winning source pays its own. No Bid,
+    StrategyProfile or AuctionOutcome is built.
 
     Returns the winners and, per mechanism, the paid durations, the paid
     powers and the winners' net energies. Raises ConvergenceError where the
@@ -311,9 +311,14 @@ def settle(
                 f"bidder {int(paid[i])}'s score overflows a double, and it sets the payment"
             )
         if mech == "mspoa":
+            # Each distinct runner-up score of the batch is inverted once.
+            paid_by: dict[float, tuple[float, float]] = {}
             for i in np.flatnonzero(relay):
-                sol = optimal_schedule(z_of_value(float(pc[i]), params), params)
-                pt[i], pp[i] = sol.t_star_s, sol.p_star_w
+                u = float(pc[i])
+                if u not in paid_by:
+                    sol = optimal_schedule(z_of_value(u, params), params)
+                    paid_by[u] = sol.t_star_s, sol.p_star_w
+                pt[i], pp[i] = paid_by[u]
         settled.append((pt, pp, _net_energies(pt, pp, best, z, alpha_tilde, params)))
     return best, settled
 

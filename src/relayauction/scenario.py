@@ -25,8 +25,6 @@ RECORD_VERSION = 1
 # region is a negligible fraction of the sampling box, i.e. a config error.
 REJECTION_BUDGET = 10_000
 _BATCH = 256
-# Points of a batch tested first; they usually hold every candidate needed.
-_PREFIX = 32
 
 
 @dataclass(frozen=True)
@@ -128,19 +126,15 @@ class ScenarioInstance:
         return read_record(cls, record, RECORD_FORMAT, RECORD_VERSION)
 
 
-def _segments_clear(px, py, ex, ey, center, radius: float) -> np.ndarray:
-    # Whether the segments from (px, py) to (ex, ey), coordinates broadcast,
-    # clear the disc: squared point-to-segment distance against squared
-    # radius, so the scalar and vector paths agree bit for bit. Each result
-    # depends on its own segment alone, so a batch may be tested in parts
-    # or against stacked endpoints with the same outcome.
-    cx, cy = center
+def _segment_clears(px: float, py: float, ex: float, ey: float, cx: float, cy: float, radius: float) -> bool:
+    # Whether segment (px, py)-(ex, ey) clears the disc about (cx, cy): squared
+    # point-to-segment distance against squared radius, each operation in a
+    # fixed order so that each decision is one IEEE result; len2 == 0 is a point.
     dx = ex - px
     dy = ey - py
     len2 = dx * dx + dy * dy
-    apart = len2 > 0.0
-    t = np.where(apart, ((cx - px) * dx + (cy - py) * dy) / np.where(apart, len2, 1.0), 0.0)
-    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    t = ((cx - px) * dx + (cy - py) * dy) / len2 if len2 > 0.0 else 0.0
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
     ox = cx - (px + t * dx)
     oy = cy - (py + t * dy)
     return ox * ox + oy * oy > radius * radius
@@ -148,8 +142,8 @@ def _segments_clear(px, py, ex, ey, center, radius: float) -> np.ndarray:
 
 def has_los(p, q, geom: GeometryConfig) -> bool:
     """True iff segment [p, q] clears the blockage disc (distance > radius)."""
-    (px, py), (qx, qy) = np.asarray(p, float), np.asarray(q, float)
-    return bool(_segments_clear(px, py, qx, qy, geom.blockage_center_m, geom.blockage_radius_m))
+    (px, py), (qx, qy) = np.asarray(p, float).tolist(), np.asarray(q, float).tolist()
+    return _segment_clears(px, py, qx, qy, *geom.blockage_center_m, geom.blockage_radius_m)
 
 
 class SamplingExhausted(RuntimeError, ValueError):
@@ -162,7 +156,7 @@ def sample_candidates(n: int, geom: GeometryConfig, rng: np.random.Generator) ->
     Plain rejection sampling in fixed-size batches (so draw counts, and hence
     reproducibility, do not depend on how many candidates are requested at
     once). Each batch is ``rng.uniform``'s draw, low + (high - low) * u. Its
-    first 32 points are tested, and the rest only when those fall short.
+    points are tested in order, and sampling stops at the n-th that passes.
     Raises SamplingExhausted when the budget of 10^4 attempts per candidate
     is exhausted.
     """
@@ -171,22 +165,12 @@ def sample_candidates(n: int, geom: GeometryConfig, rng: np.random.Generator) ->
     if n == 0:
         return np.empty((0, 2))
     xmin, xmax, ymin, ymax = geom.sampling_box_m
-    low = np.array((xmin, ymin))
-    span = np.array((xmax, ymax)) - low
-    # Segment ends, one row each: the access point (origin) and the source.
-    ex = np.array(((0.0,), (geom.q_s_m[0],)))
-    ey = np.array(((0.0,), (geom.q_s_m[1],)))
-
-    def clear(u):
-        pts = low + u * span
-        ok = _segments_clear(pts[:, 0], pts[:, 1], ex, ey, geom.blockage_center_m, geom.blockage_radius_m)
-        return pts[ok[0] & ok[1]]
-
-    out: list[np.ndarray] = []
-    have = 0
+    sx, sy = xmax - xmin, ymax - ymin
+    (qx, qy), (cx, cy), r = geom.q_s_m, geom.blockage_center_m, geom.blockage_radius_m
+    out: list[tuple[float, float]] = []
     attempts = 0
     budget = REJECTION_BUDGET * n
-    while have < n:
+    while len(out) < n:
         if attempts >= budget:
             raise SamplingExhausted(
                 f"rejection sampling exhausted {budget} attempts for {n} candidates; "
@@ -194,12 +178,15 @@ def sample_candidates(n: int, geom: GeometryConfig, rng: np.random.Generator) ->
             )
         u = rng.random((_BATCH, 2))
         attempts += _BATCH
-        kept = clear(u[:_PREFIX])
-        if have + len(kept) < n:
-            kept = np.concatenate((kept, clear(u[_PREFIX:])))
-        out.append(kept)
-        have += len(kept)
-    return np.concatenate(out)[:n]
+        for i in range(_BATCH):
+            ux, uy = u[i].tolist()
+            x, y = xmin + ux * sx, ymin + uy * sy
+            # LOS to the access point (origin), then to the source.
+            if _segment_clears(x, y, 0.0, 0.0, cx, cy, r) and _segment_clears(x, y, qx, qy, cx, cy, r):
+                out.append((x, y))
+                if len(out) == n:
+                    break
+    return np.array(out)
 
 
 def build_instance(
@@ -218,23 +205,23 @@ def build_instance(
     k_nlos = 10.0 ** (chan.k_nlos_db / 10.0)
     k_los = 10.0 ** (chan.k_los_db / 10.0)
     h_s = k_nlos * d_s ** (-chan.eta_nlos) * float(fading_s)
-    # Both LOS links at once: rows are the access point (origin) and the source.
-    dx = positions[:, 0] - np.array(((0.0,), (qx,)))
-    dy = positions[:, 1] - np.array(((0.0,), (qy,)))
-    dist = np.sqrt(dx * dx + dy * dy)
-    h_i, h_si = k_los * dist ** (-chan.eta_los) * np.array((fading_i, fading_si), float)
-    alpha_tilde = h_si * params.a_r_m2 * params.alpha
-    z0 = params.sigma2_w / h_s
-    z = params.sigma2_w * (1.0 / h_si + 1.0 / (alpha_tilde * h_i))
-    return ScenarioInstance(
-        candidate_positions_m=positions,
-        h_s=h_s,
-        h_i=h_i,
-        h_si=h_si,
-        alpha_tilde=alpha_tilde,
-        z0_w=z0,
-        z_w=z,
-    )
+    # Both LOS links, to the access point (origin) and then the source, in Python
+    # floats; only their path loss takes numpy's power, whose last bits libm's
+    # pow does not match.
+    xs, ys = positions[:, 0].tolist(), positions[:, 1].tolist()
+    d2 = [x * x + y * y for x, y in zip(xs, ys)]
+    d2 += [(x - qx) * (x - qx) + (y - qy) * (y - qy) for x, y in zip(xs, ys)]
+    loss = (np.sqrt(d2) ** (-chan.eta_los)).tolist()
+    fading = np.array((fading_i, fading_si), float).ravel().tolist()
+    h = [k_los * g * f for g, f in zip(loss, fading, strict=True)]
+    h_i, h_si = h[: len(xs)], h[len(xs) :]
+    alpha_tilde = [g * params.a_r_m2 * params.alpha for g in h_si]
+    # A zero or underflowed channel divides to inf, as in numpy; the instance rejects it.
+    z0 = params.sigma2_w / h_s if h_s else math.inf
+    z = [params.sigma2_w * (1.0 / g + 1.0 / (a * hi)) if g and a * hi else math.inf
+         for g, a, hi in zip(h_si, alpha_tilde, h_i)]
+    h_i, h_si, alpha_tilde, z = np.array((h_i, h_si, alpha_tilde, z))
+    return ScenarioInstance(positions, h_s, h_i, h_si, alpha_tilde, z0, z)
 
 
 def sample_instance(

@@ -69,3 +69,17 @@ def test_traced_mspoa_candidate_win_calls_what_game_fuzz_counts():
     assert tracer.calls["schedule.z_of_value"] == 1
     assert tracer.calls["schedule.optimal_schedule"] == 1
     assert tracer.calls["numerics.lambert_w0"] > 0
+
+
+def test_traced_sweep_samples_each_trial_once():
+    # perfbench/run.py divides scenario.sample_instance's self time by this
+    # count to report microseconds per trial, so it must be one call per
+    # (n, trial), at one job as in the benchmark.
+    from relayauction.montecarlo import SweepConfig, run_sweep
+    from relayauction.scenario import ChannelConfig, GeometryConfig
+    from relayauction.schedule import SystemParams
+
+    cfg = SweepConfig(n_values=(1, 3, 5), trials=7, mechanisms=("cooperative", "spoa"))
+    with tracing.patched(tracing.Tracer()) as tracer:
+        run_sweep(cfg, GeometryConfig(), ChannelConfig(), SystemParams())
+    assert tracer.calls["scenario.sample_instance"] == cfg.trials * len(cfg.n_values)

@@ -1,12 +1,15 @@
 import json
 import math
+import platform
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relayauction import AuctionOutcome, SystemParams, optimal_schedule
 from relayauction.cli import main
-from relayauction.config import DEFAULT_CONFIG, resolve_config
+from relayauction.config import DEFAULT_CONFIG, resolve_config, simd_targets
 from relayauction.verify import CheckResult
 
 
@@ -231,6 +234,18 @@ class TestSweep:
         assert manifest["resolved_params"]["system"]["sigma2_w"] == 1e-9
         assert manifest["resolved_params"]["geometry"]["q_s_m"] == [7.0, 7.0]
         assert manifest["artifact_version"]
+        # which Python, numpy and SIMD targets produced the bytes
+        assert manifest["version"] == 2
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        targets = manifest["simd_targets"]
+        assert sorted(targets) == ["exp", "expm1", "log1p", "power", "sqrt"]
+        assert all(isinstance(t, str) and t for t in targets.values())
+
+    def test_simd_targets_are_null_without_numpy_introspection(self, monkeypatch):
+        # numpy < 2 has no numpy.lib.introspect; a None entry makes the import fail.
+        monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)
+        assert simd_targets() == dict.fromkeys(("power", "sqrt", "exp", "expm1", "log1p"))
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         cfg = self._smoke_config(tmp_path, trials=20)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from relayauction import (
@@ -15,12 +17,11 @@ from relayauction import (
     sample_candidates,
     sample_instance,
 )
-from relayauction.scenario import _segments_clear
+from relayauction.scenario import REJECTION_BUDGET, SamplingExhausted, _segment_clears
 
 # 10^(-2.5) * 98^(-2.88): direct-link channel power at unit fading for the
 # default source position (7, 7).
 H_S_UNIT_FADING = 5.824637500782942e-09
-
 
 class _UnitFading:
     """rng stub: real position draws, fading forced to one on every link."""
@@ -35,20 +36,113 @@ class _UnitFading:
         return np.ones(size)
 
 
+def _segments_clear(px, py, ex, ey, center, radius: float) -> np.ndarray:
+    # The reference for scenario's scalar segment test, in numpy: whether the
+    # segments from (px, py) to (ex, ey), coordinates broadcast, clear the
+    # disc, by squared point-to-segment distance against squared radius.
+    cx, cy = center
+    dx = ex - px
+    dy = ey - py
+    len2 = dx * dx + dy * dy
+    apart = len2 > 0.0
+    t = np.where(apart, ((cx - px) * dx + (cy - py) * dy) / np.where(apart, len2, 1.0), 0.0)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    ox = cx - (px + t * dx)
+    oy = cy - (py + t * dy)
+    return ox * ox + oy * oy > radius * radius
+
+
+def _reference_build_instance(positions, fading_s, fading_i, fading_si, geom, chan, params):
+    # The reference for build_instance, in numpy: both LOS links as the rows
+    # of one array, the access point (origin) and then the source.
+    positions = np.asarray(positions, float)
+    qx, qy = geom.q_s_m
+    d_s = float(np.hypot(qx, qy))
+    k_nlos = 10.0 ** (chan.k_nlos_db / 10.0)
+    k_los = 10.0 ** (chan.k_los_db / 10.0)
+    h_s = k_nlos * d_s ** (-chan.eta_nlos) * float(fading_s)
+    dx = positions[:, 0] - np.array(((0.0,), (qx,)))
+    dy = positions[:, 1] - np.array(((0.0,), (qy,)))
+    dist = np.sqrt(dx * dx + dy * dy)
+    h_i, h_si = k_los * dist ** (-chan.eta_los) * np.array((fading_i, fading_si), float)
+    alpha_tilde = h_si * params.a_r_m2 * params.alpha
+    with np.errstate(divide="ignore"):
+        z = params.sigma2_w * (1.0 / h_si + 1.0 / (alpha_tilde * h_i))
+    return ScenarioInstance(positions, h_s, h_i, h_si, alpha_tilde, params.sigma2_w / h_s, z)
+
+
 def _library_draw_instance(n, geom, chan, params, rng):
-    # sample_instance written with the library's own draws: tuple-bound
-    # uniform batches tested whole, then three exponential calls.
+    # sample_instance written with the library's own draws and the numpy
+    # references: tuple-bound uniform batches tested whole against the same
+    # budget, then three exponential calls.
     xmin, xmax, ymin, ymax = geom.sampling_box_m
     (qx, qy), center, radius = geom.q_s_m, geom.blockage_center_m, geom.blockage_radius_m
-    kept = []
+    kept, attempts = [], 0
     while sum(map(len, kept)) < n:
+        if attempts >= REJECTION_BUDGET * n:
+            raise SamplingExhausted("reference sampler ran out of attempts")
         pts = rng.uniform((xmin, ymin), (xmax, ymax), size=(256, 2))
+        attempts += 256
         ok = _segments_clear(pts[:, 0], pts[:, 1], 0.0, 0.0, center, radius)
         ok &= _segments_clear(pts[:, 0], pts[:, 1], qx, qy, center, radius)
         kept.append(pts[ok])
     positions = np.concatenate(kept)[:n]
     fading_s, fading_i, fading_si = rng.exponential(), rng.exponential(size=n), rng.exponential(size=n)
-    return build_instance(positions, fading_s, fading_i, fading_si, geom, chan, params)
+    return _reference_build_instance(positions, fading_s, fading_i, fading_si, geom, chan, params)
+
+
+def _chi_square_mesh(geom, grid):
+    # Cell centres of a grid x grid mesh over the sampling box, x-major.
+    xmin, xmax, ymin, ymax = geom.sampling_box_m
+    xs = xmin + (np.arange(grid) + 0.5) * (xmax - xmin) / grid
+    ys = ymin + (np.arange(grid) + 0.5) * (ymax - ymin) / grid
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return np.stack([X.ravel(), Y.ravel()], axis=1)
+
+
+_coordinate = st.floats(-12.0, 12.0)
+
+
+@st.composite
+def _scenarios(draw):
+    # Valid geometry, channel and system configs over wide ranges: any source
+    # and blockage, a box anywhere near them, and integral path-loss
+    # exponents, where numpy's power may take another route.
+    x0, y0 = draw(_coordinate), draw(_coordinate)
+    try:
+        geom = GeometryConfig(
+            q_s_m=(draw(_coordinate), draw(_coordinate)),
+            blockage_center_m=(draw(_coordinate), draw(_coordinate)),
+            blockage_radius_m=draw(st.floats(0.05, 4.0)),
+            sampling_box_m=(x0, x0 + draw(st.floats(0.05, 12.0)), y0, y0 + draw(st.floats(0.05, 12.0))),
+        )
+    except ValueError:
+        assume(False)
+    eta_los = draw(st.one_of(st.sampled_from((1.0, 2.0, 3.0)), st.floats(0.5, 4.0)))
+    chan = ChannelConfig(
+        k_nlos_db=draw(st.floats(-60.0, 20.0)),
+        eta_nlos=eta_los + draw(st.one_of(st.just(1.0), st.floats(0.01, 4.0))),
+        k_los_db=draw(st.floats(-30.0, 20.0)),
+        eta_los=eta_los,
+    )
+    params = SystemParams(
+        sigma2_w=draw(st.floats(1e-15, 1.0)), a_r_m2=draw(st.floats(1e-6, 1.0)), alpha=draw(st.floats(0.01, 1.0))
+    )
+    return geom, chan, params
+
+
+def _outcome(draw_instance, n, geom, chan, params, seed):
+    # Every field's bytes and the generator's next draw; for a failure, the
+    # error and where the generator stopped (an exhausted sampler by type).
+    rng = np.random.default_rng(seed)
+    try:
+        inst = draw_instance(n, geom, chan, params, rng)
+    except SamplingExhausted:
+        return "exhausted", rng.random()
+    except (ArithmeticError, ValueError) as exc:
+        return repr(exc), rng.random()
+    names = ("candidate_positions_m", "h_s", "h_i", "h_si", "alpha_tilde", "z0_w", "z_w")
+    return [np.asarray(getattr(inst, name)).tobytes() for name in names], rng.random()
 
 
 class TestConfigs:
@@ -115,6 +209,41 @@ class TestHasLos:
         assert has_los((6.0, 6.0), (6.0, 6.0), geom)
         assert not has_los((3.6, 3.6), (3.6, 3.6), geom)
 
+    def test_matches_the_reference_on_the_chi_square_mesh(self):
+        # Every fourth row and column of the uniformity test's mesh, towards
+        # both segment ends.
+        geom = GeometryConfig()
+        mesh = _chi_square_mesh(geom, 1200).reshape(1200, 1200, 2)[::4, ::4].reshape(-1, 2)
+        center, radius = geom.blockage_center_m, geom.blockage_radius_m
+        for end in ((0.0, 0.0), geom.q_s_m):
+            want = _segments_clear(mesh[:, 0], mesh[:, 1], *end, center, radius)
+            got = [has_los(p, end, geom) for p in mesh]
+            assert 0 < want.sum() < len(mesh)
+            assert got == want.tolist()
+
+
+class TestSegmentPredicate:
+    # The unit disc at the origin; each case holds the scalar test to the
+    # numpy reference and to the answer worked out by hand.
+    @pytest.mark.parametrize(
+        "p, e, clear",
+        [
+            ((2.0, 0.0), (2.0, 0.0), True),  # p at the endpoint: len2 == 0, the point's own distance
+            ((0.5, 0.0), (0.5, 0.0), False),
+            ((1.0, 0.0), (1.0, 0.0), False),  # a point segment on the circle
+            ((-1.0, 1.0), (1.0, 1.0), False),  # tangent: distance equals the radius, not clear
+            ((-1.0, 1.5), (1.0, 1.5), True),
+            ((2.0, 0.0), (3.0, 0.0), True),  # t = -2 clamped at 0: the nearest point is p
+            ((-3.0, 0.0), (-2.0, 0.0), True),  # t = 3 clamped at 1: the nearest point is e
+            ((-2.0, 0.0), (2.0, 0.0), False),  # t = 1/2, through the centre
+        ],
+        ids=["endpoint-clear", "endpoint-inside", "endpoint-on-circle", "tangent", "above",
+             "clamped-at-0", "clamped-at-1", "through-centre"],
+    )
+    def test_cases(self, p, e, clear):
+        assert _segment_clears(*p, *e, 0.0, 0.0, 1.0) is clear
+        assert bool(_segments_clear(*p, *e, (0.0, 0.0), 1.0)) is clear
+
 
 class TestSampleCandidates:
     def test_zero_candidates(self):
@@ -146,10 +275,7 @@ class TestSampleCandidates:
         pts = sample_candidates(100_000, geom, np.random.default_rng(777))
 
         grid = 1200
-        xs = xmin + (np.arange(grid) + 0.5) * (xmax - xmin) / grid
-        ys = ymin + (np.arange(grid) + 0.5) * (ymax - ymin) / grid
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        mesh = np.stack([X.ravel(), Y.ravel()], axis=1)
+        mesh = _chi_square_mesh(geom, grid)
         center, radius = geom.blockage_center_m, geom.blockage_radius_m
         ok = _segments_clear(mesh[:, 0], mesh[:, 1], 0.0, 0.0, center, radius)
         ok &= _segments_clear(mesh[:, 0], mesh[:, 1], *geom.q_s_m, center, radius)
@@ -200,8 +326,8 @@ class TestInstances:
         ids=["defaults", "mostly-blocked"],
     )
     def test_stream_matches_the_library_draws(self, geom, n):
-        # The leaner draws and the prefix test change no instance and leave
-        # the generator where the library's own calls would.
+        # The leaner draws and the scalar arithmetic change no instance and
+        # leave the generator where the library's own calls would.
         chan, params = ChannelConfig(), SystemParams()
         for k in range(25):
             a_rng, b_rng = np.random.default_rng((5, n, k)), np.random.default_rng((5, n, k))
@@ -211,6 +337,32 @@ class TestInstances:
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (k, name)
             assert (a.h_s, a.z0_w) == (b.h_s, b.z0_w)
             assert a_rng.random() == b_rng.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scenarios(), st.integers(1, 12), st.integers(0, 2**32))
+    def test_matches_the_numpy_reference_bit_for_bit(self, scenario, n, seed):
+        geom, chan, params = scenario
+        want = _outcome(_library_draw_instance, n, geom, chan, params, seed)
+        assert _outcome(sample_instance, n, geom, chan, params, seed) == want
+
+    @pytest.mark.parametrize(
+        "changes, fading, message",
+        [
+            # The parent's Python division raised ZeroDivisionError here.
+            ({}, (0.0, [1.0, 1.0], [1.0, 1.0]), "^h_s must be strictly positive"),
+            ({"k_los_db": -4000.0}, (1.0, [1.0, 1.0], [1.0, 1.0]), "^h_i entries"),
+            ({}, (1.0, [1.0, 0.0], [1.0, 1.0]), "^h_i entries"),
+            ({}, (1.0, [1.0, 1.0], [0.0, 1.0]), "^h_si entries"),
+            # alpha_tilde * h_i underflows to 0 although both are positive.
+            ({}, (1.0, [1e-200, 1.0], [1e-200, 1.0]), "^z_w entries"),
+        ],
+        ids=["h_s-zero", "k_los-underflow", "h_i-zero", "h_si-zero", "z-underflow"],
+    )
+    def test_zero_channel_is_named_not_divided_by(self, changes, fading, message):
+        geom, chan, params = GeometryConfig(), ChannelConfig(**changes), SystemParams()
+        positions = np.array([[2.0, 5.0], [1.8, 5.2]])
+        with pytest.raises(ValueError, match=message):
+            build_instance(positions, *fading, geom, chan, params)
 
     def test_first_non_positive_array_is_named(self, golden_instance):
         fields = {**vars(golden_instance), "h_si": np.array([1.0, -1.0]), "z_w": np.array([0.0, 1.0])}
