@@ -9,6 +9,8 @@ count, and reruns are byte-identical.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
@@ -105,6 +107,99 @@ def trial_rng(seed: int, n: int, trial: int) -> np.random.Generator:
     return np.random.default_rng((seed, n, trial))
 
 
+# numpy's SeedSequence (NEP 19) with its default pool of four 32-bit words,
+# and PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _words(value: int) -> list[int]:
+    # A non-negative int as SeedSequence reads it: 32-bit words, low first.
+    out = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        out.append(value & _MASK32)
+    return out
+
+
+def _seed_words(columns: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence(entropy).generate_state(4, np.uint64) as eight uint32
+    columns, for one entropy per row: columns[j] holds each row's word j.
+    The hash constants do not depend on the data, so they run in Python
+    ints; uint32 array arithmetic wraps as the reference's C does."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return value ^ value >> np.uint32(16)
+
+    columns = columns + [np.zeros_like(columns[0])] * (_POOL - len(columns))
+    pool = [hashmix(columns[i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, len(columns)):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(columns[src]))
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % _POOL] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        out.append(value ^ value >> np.uint32(16))
+    return out
+
+
+def trial_streams(seed: int, n: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
+    """trial_rng(seed, n, k) for k in lo..hi-1, bit for bit, from one generator.
+
+    The SeedSequence mixing of every (seed, n, k) runs once for the chunk as
+    uint32 array operations; PCG64's seeding step then runs per trial in
+    Python ints and is set as the state of one generator made for the chunk.
+    Each yielded generator is therefore the same object: it holds trial k's
+    stream until the next one is taken. Trials from 2**32 on, whose index
+    takes a second entropy word, come from trial_rng itself.
+    """
+    seed, n, lo, hi = map(operator.index, (seed, n, lo, hi))
+    if min(seed, n, lo) < 0:
+        raise ValueError("seed, n and trial must be non-negative")
+    mid = max(lo, min(hi, 1 << 32))
+    if lo < mid:
+        trials = np.arange(lo, mid).astype(np.uint32)
+        shared = [np.full(len(trials), w, np.uint32) for w in _words(seed) + _words(n)]
+        words = np.stack(_seed_words(shared + [trials]), axis=1).astype(np.uint64)
+        # The words as little-endian uint64s: initstate (high, low), then initseq.
+        seeds = words[:, 0::2] | words[:, 1::2] << np.uint64(32)
+        rng = np.random.Generator(np.random.PCG64(0))
+        bitgen = rng.bit_generator
+        for s_hi, s_lo, q_hi, q_lo in seeds.tolist():
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+    for k in range(mid, hi):
+        yield trial_rng(seed, n, k)
+
+
 def run_mechanism(
     mechanism: str, inst: ScenarioInstance, params: SystemParams
 ) -> AuctionOutcome:
@@ -126,6 +221,27 @@ def _outcome_metrics(outcome: AuctionOutcome) -> tuple[float, float, float, floa
     )
 
 
+def _chunk_channels(
+    seed: int,
+    n: int,
+    lo: int,
+    hi: int,
+    geom: GeometryConfig,
+    chan: ChannelConfig,
+    params: SystemParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    # Each trial's sample_instance on its own stream, then the bidders'
+    # channels [z0, z_1..z_n] and alpha_tilde stacked, one row per trial.
+    # Only the fields the settlement reads are kept.
+    z0, z_w, alpha_tilde = [], [], []
+    for rng in trial_streams(seed, n, lo, hi):
+        inst = sample_instance(n, geom, chan, params, rng)
+        z0.append(inst.z0_w)
+        z_w.append(inst.z_w)
+        alpha_tilde.append(inst.alpha_tilde)
+    return np.column_stack((z0, z_w)), np.array(alpha_tilde)
+
+
 def _trial_chunk(
     seed: int,
     n: int,
@@ -140,13 +256,7 @@ def _trial_chunk(
     # Trials lo..hi-1 settled as arrays, one row per trial: each row's
     # metrics are those of run_mechanism on its instance, to the array
     # kernel's last bits, and do not depend on the other rows.
-    z = np.empty((hi - lo, n + 1))
-    alpha_tilde = np.empty((hi - lo, n))
-    for i, k in enumerate(range(lo, hi)):
-        inst = sample_instance(n, geom, chan, params, trial_rng(seed, n, k))
-        z[i, 0] = inst.z0_w
-        z[i, 1:] = inst.z_w
-        alpha_tilde[i] = inst.alpha_tilde
+    z, alpha_tilde = _chunk_channels(seed, n, lo, hi, geom, chan, params)
     out = np.empty((hi - lo, len(lambdas), len(mechanisms), 4))
     for j, lam in enumerate(lambdas):
         cell = replace(params, lambda_w=lam)

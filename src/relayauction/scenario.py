@@ -10,6 +10,7 @@ Channel powers combine a log-distance law with unit-mean exponential
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +26,8 @@ RECORD_VERSION = 1
 # region is a negligible fraction of the sampling box, i.e. a config error.
 REJECTION_BUDGET = 10_000
 _BATCH = 256
+_FLOAT = np.dtype(float)
+_SLICE = 32  # batch rows converted to Python floats at a time; n <= 8 rarely needs more
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,12 @@ class ScenarioInstance:
     z_w: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        pos = plain(Points, self.candidate_positions_m, "candidate_positions_m")
-        object.__setattr__(self, "candidate_positions_m", pos)
+        # An ndarray of float64 is what plain returns for it, so it is kept
+        # without re-typing; its shape and range are checked all the same.
+        pos = self.candidate_positions_m
+        if not (type(pos) is np.ndarray and pos.dtype is _FLOAT):
+            pos = plain(Points, pos, "candidate_positions_m")
+            object.__setattr__(self, "candidate_positions_m", pos)
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValueError(f"candidate_positions_m must be a list of [x, y] pairs, got shape {pos.shape}")
         for name in ("h_s", "z0_w"):
@@ -100,8 +107,10 @@ class ScenarioInstance:
         n = len(pos)
         names = ("h_i", "h_si", "alpha_tilde", "z_w")
         for name in names:
-            arr = plain(np.ndarray, getattr(self, name), name)
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
+            if not (type(arr) is np.ndarray and arr.dtype is _FLOAT):
+                arr = plain(np.ndarray, arr, name)
+                object.__setattr__(self, name, arr)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have one entry per candidate position, got shape {arr.shape}")
         # Finite and > 0, as the record path requires: one test for all four
@@ -170,7 +179,7 @@ def sample_candidates(n: int, geom: GeometryConfig, rng: np.random.Generator) ->
     out: list[tuple[float, float]] = []
     attempts = 0
     budget = REJECTION_BUDGET * n
-    while len(out) < n:
+    while True:
         if attempts >= budget:
             raise SamplingExhausted(
                 f"rejection sampling exhausted {budget} attempts for {n} candidates; "
@@ -178,15 +187,35 @@ def sample_candidates(n: int, geom: GeometryConfig, rng: np.random.Generator) ->
             )
         u = rng.random((_BATCH, 2))
         attempts += _BATCH
-        for i in range(_BATCH):
-            ux, uy = u[i].tolist()
-            x, y = xmin + ux * sx, ymin + uy * sy
-            # LOS to the access point (origin), then to the source.
-            if _segment_clears(x, y, 0.0, 0.0, cx, cy, r) and _segment_clears(x, y, qx, qy, cx, cy, r):
-                out.append((x, y))
-                if len(out) == n:
-                    break
-    return np.array(out)
+        for i in range(0, _BATCH, _SLICE):
+            for ux, uy in u[i : i + _SLICE].tolist():
+                x, y = xmin + ux * sx, ymin + uy * sy
+                # LOS to the access point (origin), then to the source.
+                if _segment_clears(x, y, 0.0, 0.0, cx, cy, r) and _segment_clears(x, y, qx, qy, cx, cy, r):
+                    out.append((x, y))
+                    if len(out) == n:
+                        return np.array(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _path_loss_constants(q_s_m: tuple[float, float], chan: ChannelConfig) -> tuple[float, float]:
+    """The direct link's path loss k_nlos * d_s**-eta_nlos, and k_los.
+
+    Computed and checked once per source position and channel: a source at
+    or next to the access point has no finite path loss, and one far enough
+    away has none above zero."""
+    d_s = float(np.hypot(*q_s_m))
+    try:
+        source_loss = 10.0 ** (chan.k_nlos_db / 10.0) * d_s ** (-chan.eta_nlos)
+    except ArithmeticError:  # 0 ** -eta divides by zero; a tiny d_s overflows
+        source_loss = math.inf
+    if not 0.0 < source_loss < math.inf:
+        raise ValueError(
+            f"q_s_m {list(q_s_m)} gives the direct link a path loss k_nlos*d_s^-eta_nlos of "
+            f"{source_loss!r} (k_nlos_db {chan.k_nlos_db!r}, eta_nlos {chan.eta_nlos!r}); "
+            "it must be strictly positive and finite"
+        )
+    return source_loss, 10.0 ** (chan.k_los_db / 10.0)
 
 
 def build_instance(
@@ -201,10 +230,8 @@ def build_instance(
     """Deterministic instance assembly from positions and fading draws."""
     positions = np.asarray(positions, float)
     qx, qy = geom.q_s_m
-    d_s = float(np.hypot(qx, qy))
-    k_nlos = 10.0 ** (chan.k_nlos_db / 10.0)
-    k_los = 10.0 ** (chan.k_los_db / 10.0)
-    h_s = k_nlos * d_s ** (-chan.eta_nlos) * float(fading_s)
+    source_loss, k_los = _path_loss_constants(geom.q_s_m, chan)
+    h_s = source_loss * float(fading_s)
     # Both LOS links, to the access point (origin) and then the source, in Python
     # floats; only their path loss takes numpy's power, whose last bits libm's
     # pow does not match.

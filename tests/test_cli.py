@@ -336,6 +336,23 @@ class TestSweep:
         assert "(3.4, 3.6, 3.4, 3.6)" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "q_s_m, loss",
+        [([0.0, 0.0], "inf"), ([0.0, 2.2e-313], "inf"), ([1e60, 0.0], "0.0")],
+        ids=["at-the-access-point", "next-to-it", "too-far"],
+    )
+    def test_source_without_a_finite_path_loss_is_a_config_error(self, tmp_path, capsys, q_s_m, loss):
+        # 0 ** -eta_nlos divides by zero and a tiny distance overflows in
+        # Python floats; a far source underflows to a zero channel.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"geometry": {"q_s_m": q_s_m}, "sweep": {"n_values": [1], "trials": 1}}))
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: q_s_m {q_s_m} gives the direct link a path loss") and err.count("\n") == 1
+        assert f"of {loss} " in err and "must be strictly positive and finite" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
         cfg = self._smoke_config(tmp_path)

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayauction import (
     ChannelConfig,
@@ -27,6 +29,7 @@ from relayauction.montecarlo import (
     render_csv,
     run_mechanism,
     trial_rng,
+    trial_streams,
 )
 from relayauction.schedule import optimal_schedules
 
@@ -304,6 +307,113 @@ class TestPerTrialInvariants:
         inst = sample_instance(1, geom, chan, params, trial_rng(1, 1, 0))
         with pytest.raises(ValueError, match="unknown mechanism"):
             run_mechanism("english", inst, params)
+
+
+def _state(rng):
+    return rng.bit_generator.state
+
+
+class TestTrialStreams:
+    # trial_streams(seed, n, lo, hi) is trial_rng(seed, n, k) for k in
+    # lo..hi-1 from one reused generator; trials from 2**32 on fall back to
+    # trial_rng itself.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 8, 2**32])
+    def test_state_and_draws_are_the_per_trial_stream(self, seed, n):
+        for lo, hi in ((0, 256), (2**32 - 1, 2**32 + 1)):
+            for k, rng in zip(range(lo, hi), trial_streams(seed, n, lo, hi), strict=True):
+                want = trial_rng(seed, n, k)
+                assert _state(rng) == _state(want), k
+                if k in (0, 255, 2**32 - 1, 2**32):
+                    assert rng.random(1000).tobytes() == want.random(1000).tobytes(), k
+                # An odd number of 32-bit draws leaves half a word buffered;
+                # the next trial's stream must not see it.
+                assert rng.integers(2**32, dtype=np.uint32) == want.integers(2**32, dtype=np.uint32)
+
+    def test_the_chunk_generator_is_reused(self):
+        streams = trial_streams(3, 2, 0, 3)
+        assert next(streams) is next(streams)
+        assert list(trial_streams(3, 2, 5, 5)) == [] == list(trial_streams(3, 2, 5, 4))
+
+    @pytest.mark.parametrize("args", [(-1, 2, 0, 1), (3, -2, 0, 1), (3, 2, -1, 1), (3, 2.0, 0, 1)])
+    def test_rejects_what_seed_sequence_rejects(self, args):
+        with pytest.raises((ValueError, TypeError)):
+            trial_rng(*args[:3])
+        with pytest.raises((ValueError, TypeError)):
+            next(trial_streams(*args))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.one_of(st.integers(1, 16), st.integers(1, 2**40)),
+        st.one_of(st.integers(0, 600), st.integers(2**32 - 8, 2**32 + 8), st.integers(0, 2**40)),
+        st.integers(0, 12),
+    )
+    def test_every_stream_matches_trial_rng(self, seed, n, lo, length):
+        got = [_state(rng) for rng in trial_streams(seed, n, lo, lo + length)]
+        assert got == [_state(trial_rng(seed, n, k)) for k in range(lo, lo + length)]
+
+
+class _CountingRng:
+    """A generator that counts its 256-point batches."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.batches = 0
+
+    def random(self, size):
+        self.batches += 1
+        return self._rng.random(size)
+
+    def standard_exponential(self, size):
+        return self._rng.standard_exponential(size)
+
+
+MOSTLY_BLOCKED = GeometryConfig(blockage_radius_m=3.2, sampling_box_m=(0.0, 7.0, 0.0, 7.0))
+
+
+class TestChunkStreams:
+    # The chunk loop's channels against sample_instance on trial_rng, one
+    # trial at a time.
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_mostly_blocked_channels_are_the_per_trial_ones(self, default_setup, n):
+        _, chan, params = default_setup
+        z, alpha_tilde = montecarlo._chunk_channels(23, n, 40, 104, MOSTLY_BLOCKED, chan, params)
+        rngs = [_CountingRng(trial_rng(23, n, k)) for k in range(40, 104)]
+        insts = [sample_instance(n, MOSTLY_BLOCKED, chan, params, rng) for rng in rngs]
+        assert max(rng.batches for rng in rngs) >= 2  # about 1.3 % of the box sees both ends
+        want_z = np.array([[inst.z0_w, *inst.z_w] for inst in insts])
+        want_alpha = np.array([inst.alpha_tilde for inst in insts])
+        assert z.shape == want_z.shape and z.tobytes() == want_z.tobytes()
+        assert alpha_tilde.shape == want_alpha.shape and alpha_tilde.tobytes() == want_alpha.tobytes()
+
+    @pytest.mark.parametrize(
+        "geom, chan, n, lo",
+        [
+            # The direct link's channel is subnormal, so z0 = sigma2 / h_s
+            # overflows on a deep enough fade.
+            (GeometryConfig(), ChannelConfig(k_nlos_db=-3095.0), 3, 2),
+            # About 1e-4 of the box sees both ends: some trials exhaust.
+            (GeometryConfig(blockage_radius_m=3.45, sampling_box_m=(0.0, 7.0, 0.0, 7.0)), ChannelConfig(), 1, 20),
+        ],
+        ids=["channel-underflow", "budget-exhausted"],
+    )
+    def test_fails_at_the_trial_where_the_per_trial_sampler_fails(self, geom, chan, n, lo):
+        params, lambdas = SystemParams(), (1.0, 100.0)
+        for k in range(lo, lo + 64):
+            try:
+                sample_instance(n, geom, chan, params, trial_rng(7, n, k))
+            except ValueError as exc:
+                want = exc
+                break
+        else:
+            pytest.fail("no trial fails")
+        assert k > lo
+        _trial_chunk(7, n, lo, k, lambdas, MECHANISMS, geom, chan, params)
+        for hi in (k + 1, lo + 64):
+            with pytest.raises(type(want)) as got:
+                _trial_chunk(7, n, lo, hi, lambdas, MECHANISMS, geom, chan, params)
+            assert str(got.value) == str(want)
 
 
 class TestTrendSmoke:

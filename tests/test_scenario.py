@@ -60,6 +60,16 @@ def _reference_build_instance(positions, fading_s, fading_i, fading_si, geom, ch
     d_s = float(np.hypot(qx, qy))
     k_nlos = 10.0 ** (chan.k_nlos_db / 10.0)
     k_los = 10.0 ** (chan.k_los_db / 10.0)
+    # A source at or next to the access point, or too far from it, has no
+    # finite positive path loss: numpy's power says inf or 0 without raising.
+    with np.errstate(all="ignore"):
+        source_loss = float(k_nlos * np.float64(d_s) ** -chan.eta_nlos)
+    if not 0.0 < source_loss < math.inf:
+        raise ValueError(
+            f"q_s_m {list(geom.q_s_m)} gives the direct link a path loss k_nlos*d_s^-eta_nlos of "
+            f"{source_loss!r} (k_nlos_db {chan.k_nlos_db!r}, eta_nlos {chan.eta_nlos!r}); "
+            "it must be strictly positive and finite"
+        )
     h_s = k_nlos * d_s ** (-chan.eta_nlos) * float(fading_s)
     dx = positions[:, 0] - np.array(((0.0,), (qx,)))
     dy = positions[:, 1] - np.array(((0.0,), (qy,)))
@@ -363,6 +373,18 @@ class TestInstances:
         positions = np.array([[2.0, 5.0], [1.8, 5.2]])
         with pytest.raises(ValueError, match=message):
             build_instance(positions, *fading, geom, chan, params)
+
+    @pytest.mark.parametrize("q_s_m", [(0.0, 0.0), (0.0, 2.2e-313), (1e60, 0.0)])
+    def test_source_without_a_finite_path_loss_is_named(self, q_s_m):
+        # Python's float power raised ZeroDivisionError and OverflowError on
+        # the first two; the third built a zero h_s.
+        geom, chan, params = GeometryConfig(q_s_m=q_s_m), ChannelConfig(), SystemParams()
+        args = (np.array([[2.0, 5.0]]), 1.0, [1.0], [1.0], geom, chan, params)
+        with pytest.raises(ValueError, match=r"^q_s_m \[.*must be strictly positive and finite$") as err:
+            build_instance(*args)
+        with pytest.raises(ValueError) as ref:
+            _reference_build_instance(*args)
+        assert str(err.value) == str(ref.value)
 
     def test_first_non_positive_array_is_named(self, golden_instance):
         fields = {**vars(golden_instance), "h_si": np.array([1.0, -1.0]), "z_w": np.array([0.0, 1.0])}
