@@ -3,6 +3,10 @@
 The hot entry points are ``lambert_w0``, ``schedule`` (closed-form optimum
 for one effective channel) and ``value`` (its cost). The inverse of the
 value map is a closed form on top of these, in ``schedule.z_of_value``.
+``schedule`` decides a clearly binding power cap before it solves Lambert W
+and then skips the solve; the tuple is the one the solve would give, bit
+for bit (the proof is in its docstring). ``lambert_w0`` and
+``z_of_value``'s own solve are unchanged by it.
 
 ``schedules`` and ``min_powers`` are their numpy twins over an array of
 channels, for the sweep's chunks: the same initial guesses, branch-point
@@ -42,6 +46,9 @@ _ABS_TOL, _REL_TOL, _MAX_ITER = DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol, DEFAUL
 # lam/z below which w + 1 comes from the branch-point series: the same
 # threshold, x < -1/e + _SERIES_DX, at which _lambert_core returns that series.
 _SERIES_R = _E * _SERIES_DX
+# Relative slack of the cap's pre-decision (see schedule), far above the few
+# ulps that w*e^w, exp and the products lose.
+_CAP_SLACK = 1e-13
 
 
 class ScheduleOverflow(ConvergenceError):
@@ -99,18 +106,31 @@ def schedule(z, d, lam, p_max):
     binds (ties within rel CAP_TIE_REL count as active). Raises
     ScheduleOverflow when the cost is not finite, i.e. the cap duration
     overflows for huge z.
+
+    The cap is decided before Lambert W is solved. The interior duration is
+    d*ln2/(w + 1) with w = W0(x), x = (r - 1)/e, r = lam/z, and the cap's is
+    d*ln2/c with c = log1p(p_max/z); the cap binds when w + 1 >= c, i.e.
+    when x >= (c - 1)*e^(c - 1). Halley's w satisfies w*e^w = x' for some
+    x' within its stopping tolerance tol_f of x (plus rounding), so when x
+    exceeds (c - 1)*e^(c - 1) by more than ``_capped``'s margin the solved
+    w + 1 rounds to at least c, and the cap branch (or the tie at equal
+    durations) returns (t_min, p_max, t_min*(lam + p_max), True). That
+    tuple is then returned without the solve, bit for bit.
     """
     r = lam / z
+    cap_rate = math.log1p(p_max / z)
+    t_min = d * _LN2 / cap_rate if cap_rate > 0.0 else math.inf
     if r < _SERIES_R:
         # W0((r - 1)/e) + 1 as a series in q = sqrt(2r), taken before
         # r - 1 cancels against 1.
         q = math.sqrt(2.0 * r)
         wp1 = q * (1.0 + q * (_SERIES_C2 + q * _SERIES_C3))
     else:
-        wp1 = _lambert_core((r - 1.0) * _INV_E, _ABS_TOL, _REL_TOL, _MAX_ITER) + 1.0
+        x = (r - 1.0) * _INV_E
+        # Where the solve's w + 1 would round to at least cap_rate, cap_rate
+        # itself gives the same schedule: the tie at t_unc == t_min.
+        wp1 = cap_rate if _capped(x, cap_rate) else _lambert_core(x, _ABS_TOL, _REL_TOL, _MAX_ITER) + 1.0
     t_unc = d * _LN2 / wp1 if wp1 > 0.0 else 0.0
-    cap_rate = math.log1p(p_max / z)
-    t_min = d * _LN2 / cap_rate if cap_rate > 0.0 else math.inf
     if t_unc >= t_min:
         t = t_unc
         active = (t_unc - t_min) <= CAP_TIE_REL * t_unc
@@ -122,6 +142,21 @@ def schedule(z, d, lam, p_max):
     if not math.isfinite(c):
         raise ScheduleOverflow(f"no finite schedule for z={z!r}")
     return t, p, c, active
+
+
+def _capped(x, cap_rate):
+    # Whether W0(x) + 1 >= cap_rate holds for the w that _lambert_core would
+    # return for x: x clears (c - 1)*e^(c - 1) by twice Halley's stopping
+    # tolerance, plus _CAP_SLACK relative to both sides for the rounding of
+    # w*e^w, of exp and of the products. Only where Halley runs (not the
+    # branch-point series); false for nan and inf, which are then solved.
+    if not _NEG_INV_E + _SERIES_DX <= x < math.inf:
+        return False
+    u = cap_rate - 1.0  # at most 708.8 for a finite cap_rate, so exp(u) is finite
+    g = u * math.exp(u)
+    ax = abs(x)
+    tol_f = _ABS_TOL if _ABS_TOL > _REL_TOL * ax else _REL_TOL * ax
+    return x - g > 2.0 * tol_f + _CAP_SLACK * (ax + abs(g))
 
 
 def value(z, d, lam, p_max):

@@ -6,6 +6,12 @@ blockage on the segment between them puts the direct link in a deep fade
 region with clear line of sight to both endpoints and enjoy LOS path loss.
 Channel powers combine a log-distance law with unit-mean exponential
 (Rayleigh) fading, drawn independently per link.
+
+``sample_instance`` is a sweep trial's scalar path: the geometry and
+path-loss constants are read once per call, each candidate point is tested
+against both of its segments in one call of the predicate ``has_los`` also
+uses, and the channels are assembled in Python floats around one numpy
+``sqrt`` and ``power`` of the 2n link lengths.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ RECORD_VERSION = 1
 REJECTION_BUDGET = 10_000
 _BATCH = 256
 _FLOAT = np.dtype(float)
-_SLICE = 32  # batch rows converted to Python floats at a time; n <= 8 rarely needs more
+_SLICE = 32  # batch points converted to Python floats at a time; n <= 8 rarely needs more
+_ARRAY_FIELDS = ("h_i", "h_si", "alpha_tilde", "z_w")
 
 
 @dataclass(frozen=True)
@@ -103,21 +110,23 @@ class ScenarioInstance:
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValueError(f"candidate_positions_m must be a list of [x, y] pairs, got shape {pos.shape}")
         for name in ("h_s", "z0_w"):
-            object.__setattr__(self, name, plain(float, getattr(self, name), name))
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, plain(float, value, name))
         n = len(pos)
-        names = ("h_i", "h_si", "alpha_tilde", "z_w")
-        for name in names:
+        values = [self.h_s, self.z0_w]
+        for name in _ARRAY_FIELDS:
             arr = getattr(self, name)
             if not (type(arr) is np.ndarray and arr.dtype is _FLOAT):
                 arr = plain(np.ndarray, arr, name)
                 object.__setattr__(self, name, arr)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have one entry per candidate position, got shape {arr.shape}")
-        # Finite and > 0, as the record path requires: one test for all four
-        # arrays; the first field in declaration order that fails is named.
-        values = np.concatenate([getattr(self, name) for name in names])
-        finite = 0.0 < self.h_s < math.inf and 0.0 < self.z0_w < math.inf
-        if not (finite and (not n or values.min() > 0.0 and values.max() < math.inf)):
+            values += arr.tolist()
+        # Finite and > 0, as the record path requires: one pass over every
+        # value as a Python float; the first field in declaration order that
+        # fails is named.
+        if not all(0.0 < v < math.inf for v in values):
             for name in ("h_s", "h_i", "h_si", "alpha_tilde", "z0_w", "z_w"):
                 value = np.asarray(getattr(self, name))
                 if not ((value > 0.0) & (value < np.inf)).all():
@@ -135,28 +144,69 @@ class ScenarioInstance:
         return read_record(cls, record, RECORD_FORMAT, RECORD_VERSION)
 
 
-def _segment_clears(px: float, py: float, ex: float, ey: float, cx: float, cy: float, radius: float) -> bool:
-    # Whether segment (px, py)-(ex, ey) clears the disc about (cx, cy): squared
-    # point-to-segment distance against squared radius, each operation in a
-    # fixed order so that each decision is one IEEE result; len2 == 0 is a point.
-    dx = ex - px
-    dy = ey - py
-    len2 = dx * dx + dy * dy
-    t = ((cx - px) * dx + (cy - py) * dy) / len2 if len2 > 0.0 else 0.0
-    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-    ox = cx - (px + t * dx)
-    oy = cy - (py + t * dy)
-    return ox * ox + oy * oy > radius * radius
+def _clears(px: float, py: float, ends, cx: float, cy: float, rr: float) -> bool:
+    # Whether the segment from (px, py) to each end (ex, ey) in turn clears
+    # the disc about (cx, cy) of squared radius rr: squared point-to-segment
+    # distance against rr, each operation in a fixed order so that each
+    # decision is one IEEE result; len2 == 0 is a point. The first end whose
+    # segment is blocked decides, and the later ones are not tested. At t = 0
+    # the nearest point is p itself: px + 0*dx is px, so the offset is (ax, ay).
+    ax = cx - px
+    ay = cy - py
+    for ex, ey in ends:
+        dx = ex - px
+        dy = ey - py
+        len2 = dx * dx + dy * dy
+        t = (ax * dx + ay * dy) / len2 if len2 > 0.0 else 0.0
+        if t <= 0.0:
+            ox, oy = ax, ay
+        else:
+            if t > 1.0:
+                t = 1.0
+            ox = cx - (px + t * dx)
+            oy = cy - (py + t * dy)
+        if not ox * ox + oy * oy > rr:
+            return False
+    return True
 
 
 def has_los(p, q, geom: GeometryConfig) -> bool:
     """True iff segment [p, q] clears the blockage disc (distance > radius)."""
     (px, py), (qx, qy) = np.asarray(p, float).tolist(), np.asarray(q, float).tolist()
-    return _segment_clears(px, py, qx, qy, *geom.blockage_center_m, geom.blockage_radius_m)
+    (cx, cy), r = geom.blockage_center_m, geom.blockage_radius_m
+    return _clears(px, py, ((qx, qy),), cx, cy, r * r)
 
 
 class SamplingExhausted(RuntimeError, ValueError):
     """Rejection sampling ran out of attempts: a config error, not a numerical one."""
+
+
+def _sample_xy(n: int, geom: GeometryConfig, rng: np.random.Generator) -> list[float]:
+    # sample_candidates' points as one flat list [x0, y0, x1, y1, ...], n >= 1.
+    # A batch is 2 * _BATCH uniforms, the same stream as rng.random((_BATCH, 2)).
+    xmin, xmax, ymin, ymax = geom.sampling_box_m
+    sx, sy = xmax - xmin, ymax - ymin
+    (cx, cy), r = geom.blockage_center_m, geom.blockage_radius_m
+    ends, rr = ((0.0, 0.0), geom.q_s_m), r * r  # the access point (origin), then the source
+    xy: list[float] = []
+    size = 2 * n
+    attempts = 0
+    budget = REJECTION_BUDGET * n
+    while attempts < budget:
+        u = rng.random(2 * _BATCH)
+        attempts += _BATCH
+        for i in range(0, 2 * _BATCH, 2 * _SLICE):
+            coords = iter(u[i : i + 2 * _SLICE].tolist())
+            for ux, uy in zip(coords, coords):
+                x, y = xmin + ux * sx, ymin + uy * sy
+                if _clears(x, y, ends, cx, cy, rr):
+                    xy += (x, y)
+                    if len(xy) == size:
+                        return xy
+    raise SamplingExhausted(
+        f"rejection sampling exhausted {budget} attempts for {n} candidates; "
+        f"the doubly-LOS region inside {geom.sampling_box_m} is too small"
+    )
 
 
 def sample_candidates(n: int, geom: GeometryConfig, rng: np.random.Generator) -> np.ndarray:
@@ -165,36 +215,16 @@ def sample_candidates(n: int, geom: GeometryConfig, rng: np.random.Generator) ->
     Plain rejection sampling in fixed-size batches (so draw counts, and hence
     reproducibility, do not depend on how many candidates are requested at
     once). Each batch is ``rng.uniform``'s draw, low + (high - low) * u. Its
-    points are tested in order, and sampling stops at the n-th that passes.
-    Raises SamplingExhausted when the budget of 10^4 attempts per candidate
-    is exhausted.
+    points are tested in order, each against its segment to the access point
+    and then to the source in one predicate call, and sampling stops at the
+    n-th that passes. Raises SamplingExhausted when the budget of 10^4
+    attempts per candidate is exhausted.
     """
     if n < 0:
         raise ValueError("candidate count must be non-negative")
     if n == 0:
         return np.empty((0, 2))
-    xmin, xmax, ymin, ymax = geom.sampling_box_m
-    sx, sy = xmax - xmin, ymax - ymin
-    (qx, qy), (cx, cy), r = geom.q_s_m, geom.blockage_center_m, geom.blockage_radius_m
-    out: list[tuple[float, float]] = []
-    attempts = 0
-    budget = REJECTION_BUDGET * n
-    while True:
-        if attempts >= budget:
-            raise SamplingExhausted(
-                f"rejection sampling exhausted {budget} attempts for {n} candidates; "
-                f"the doubly-LOS region inside {geom.sampling_box_m} is too small"
-            )
-        u = rng.random((_BATCH, 2))
-        attempts += _BATCH
-        for i in range(0, _BATCH, _SLICE):
-            for ux, uy in u[i : i + _SLICE].tolist():
-                x, y = xmin + ux * sx, ymin + uy * sy
-                # LOS to the access point (origin), then to the source.
-                if _segment_clears(x, y, 0.0, 0.0, cx, cy, r) and _segment_clears(x, y, qx, qy, cx, cy, r):
-                    out.append((x, y))
-                    if len(out) == n:
-                        return np.array(out)
+    return np.array(_sample_xy(n, geom, rng)).reshape(n, 2)
 
 
 @functools.lru_cache(maxsize=64)
@@ -202,8 +232,9 @@ def _path_loss_constants(q_s_m: tuple[float, float], chan: ChannelConfig) -> tup
     """The direct link's path loss k_nlos * d_s**-eta_nlos, and k_los.
 
     Computed and checked once per source position and channel: a source at
-    or next to the access point has no finite path loss, and one far enough
-    away has none above zero."""
+    or next to the access point has no finite path loss, one far enough away
+    has none above zero, and a k_los_db far enough from 0 dB overflows or
+    underflows k_los."""
     d_s = float(np.hypot(*q_s_m))
     try:
         source_loss = 10.0 ** (chan.k_nlos_db / 10.0) * d_s ** (-chan.eta_nlos)
@@ -215,7 +246,44 @@ def _path_loss_constants(q_s_m: tuple[float, float], chan: ChannelConfig) -> tup
             f"{source_loss!r} (k_nlos_db {chan.k_nlos_db!r}, eta_nlos {chan.eta_nlos!r}); "
             "it must be strictly positive and finite"
         )
-    return source_loss, 10.0 ** (chan.k_los_db / 10.0)
+    try:
+        k_los = 10.0 ** (chan.k_los_db / 10.0)
+    except OverflowError:
+        k_los = math.inf
+    if not 0.0 < k_los < math.inf:
+        raise ValueError(
+            f"k_los_db {chan.k_los_db!r} gives the LOS links a path-loss intercept 10^(k_los_db/10) "
+            f"of {k_los!r}; it must be strictly positive and finite"
+        )
+    return source_loss, k_los
+
+
+def _channels(xs: list, ys: list, fading_s: float, fading: list, q_s_m, chan: ChannelConfig, params: SystemParams):
+    # The channels of candidates at (xs[i], ys[i]) in Python floats:
+    # (h_s, h_i + h_si, alpha_tilde, z0, z), with fading the 2n link fadings,
+    # those to the access point (origin) first. Only the path loss of the 2n
+    # link lengths takes numpy's power, whose last bits libm's pow does not
+    # match.
+    source_loss, k_los = _path_loss_constants(q_s_m, chan)
+    qx, qy = q_s_m
+    h_s = source_loss * fading_s
+    d2_ap, d2_src = [], []
+    for x, y in zip(xs, ys):
+        d2_ap.append(x * x + y * y)
+        dx, dy = x - qx, y - qy
+        d2_src.append(dx * dx + dy * dy)
+    loss = (np.sqrt(d2_ap + d2_src) ** (-chan.eta_los)).tolist()
+    h = [k_los * g * f for g, f in zip(loss, fading, strict=True)]
+    a_r, alpha, sigma2 = params.a_r_m2, params.alpha, params.sigma2_w
+    alpha_tilde, z = [], []
+    # A zero or underflowed channel divides to inf, as in numpy; the instance rejects it.
+    for h_i, h_si in zip(h, h[len(xs) :]):
+        a = h_si * a_r * alpha
+        alpha_tilde.append(a)
+        a_h = a * h_i
+        z.append(sigma2 * (1.0 / h_si + 1.0 / a_h) if h_si and a_h else math.inf)
+    z0 = sigma2 / h_s if h_s else math.inf
+    return h_s, h, alpha_tilde, z0, z
 
 
 def build_instance(
@@ -229,25 +297,10 @@ def build_instance(
 ) -> ScenarioInstance:
     """Deterministic instance assembly from positions and fading draws."""
     positions = np.asarray(positions, float)
-    qx, qy = geom.q_s_m
-    source_loss, k_los = _path_loss_constants(geom.q_s_m, chan)
-    h_s = source_loss * float(fading_s)
-    # Both LOS links, to the access point (origin) and then the source, in Python
-    # floats; only their path loss takes numpy's power, whose last bits libm's
-    # pow does not match.
     xs, ys = positions[:, 0].tolist(), positions[:, 1].tolist()
-    d2 = [x * x + y * y for x, y in zip(xs, ys)]
-    d2 += [(x - qx) * (x - qx) + (y - qy) * (y - qy) for x, y in zip(xs, ys)]
-    loss = (np.sqrt(d2) ** (-chan.eta_los)).tolist()
     fading = np.array((fading_i, fading_si), float).ravel().tolist()
-    h = [k_los * g * f for g, f in zip(loss, fading, strict=True)]
-    h_i, h_si = h[: len(xs)], h[len(xs) :]
-    alpha_tilde = [g * params.a_r_m2 * params.alpha for g in h_si]
-    # A zero or underflowed channel divides to inf, as in numpy; the instance rejects it.
-    z0 = params.sigma2_w / h_s if h_s else math.inf
-    z = [params.sigma2_w * (1.0 / g + 1.0 / (a * hi)) if g and a * hi else math.inf
-         for g, a, hi in zip(h_si, alpha_tilde, h_i)]
-    h_i, h_si, alpha_tilde, z = np.array((h_i, h_si, alpha_tilde, z))
+    h_s, h, alpha_tilde, z0, z = _channels(xs, ys, float(fading_s), fading, geom.q_s_m, chan, params)
+    h_i, h_si, alpha_tilde, z = np.array(h + alpha_tilde + z).reshape(4, len(xs))
     return ScenarioInstance(positions, h_s, h_i, h_si, alpha_tilde, z0, z)
 
 
@@ -263,10 +316,19 @@ def sample_instance(
     Draw order is fixed (positions, source fading, candidate-AP fadings,
     source-candidate fadings) so a given generator state maps to exactly one
     instance. The fadings are one draw of 2n + 1 standard exponentials, the
-    same stream as three ``exponential`` calls.
+    same stream as three ``exponential`` calls. The instance is the one
+    ``build_instance`` makes of ``sample_candidates``' positions and those
+    draws, bit for bit; its position and channel arrays are views of one
+    array built from Python floats.
     """
     if n < 1:
         raise ValueError("need at least one candidate")
-    positions = sample_candidates(n, geom, rng)
-    fading = rng.standard_exponential(2 * n + 1)
-    return build_instance(positions, fading[0], fading[1 : n + 1], fading[n + 1 :], geom, chan, params)
+    xy = _sample_xy(n, geom, rng)
+    fading = rng.standard_exponential(2 * n + 1).tolist()
+    h_s, h, alpha_tilde, z0, z = _channels(xy[0::2], xy[1::2], fading[0], fading[1:], geom.q_s_m, chan, params)
+    # The positions, then h_i, h_si, alpha_tilde and z, n entries each.
+    arr = np.fromiter(xy + h + alpha_tilde + z, float, 6 * n)
+    m = 2 * n
+    return ScenarioInstance(
+        arr[:m].reshape(n, 2), h_s, arr[m : 3 * n], arr[3 * n : 4 * n], arr[4 * n : 5 * n], z0, arr[5 * n :]
+    )

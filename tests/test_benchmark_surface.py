@@ -71,6 +71,29 @@ def test_traced_mspoa_candidate_win_calls_what_game_fuzz_counts():
     assert tracer.calls["numerics.lambert_w0"] > 0
 
 
+def test_traced_mspoa_cap_bound_win_still_makes_the_counted_calls():
+    # The kernel decides a clearly capped schedule without solving Lambert W,
+    # but a cap-bound candidate win must still call z_of_value and
+    # optimal_schedule once each, and z_of_value still solves once, so
+    # game-fuzz's counts stay positive.
+    from dataclasses import replace
+
+    import numpy as np
+
+    from relayauction import verify
+    from relayauction.mechanisms import run_mspoa, truthful_profile
+
+    inst, params = verify.witness_instance()
+    inst = replace(inst, z0_w=1e4, z_w=np.array([100.0, 200.0]))
+    profile = truthful_profile(inst, params)
+    with tracing.patched(tracing.Tracer()) as tracer:
+        out = run_mspoa(profile, inst, params)
+    assert out.winner == 1 and out.payment_p_w == params.p_max_w
+    assert tracer.calls["schedule.z_of_value"] == 1
+    assert tracer.calls["schedule.optimal_schedule"] == 1
+    assert tracer.calls["numerics.lambert_w0"] >= 1
+
+
 def test_traced_sweep_samples_each_trial_once():
     # perfbench/run.py divides scenario.sample_instance's self time by this
     # count to report microseconds per trial, so it must be one call per

@@ -353,6 +353,20 @@ class TestSweep:
         assert f"of {loss} " in err and "must be strictly positive and finite" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("k_los_db, k_los", [(4000, "inf"), (-4000, "0.0")], ids=["overflow", "underflow"])
+    def test_k_los_without_a_finite_intercept_is_a_config_error(self, tmp_path, capsys, k_los_db, k_los):
+        # 10 ** 400 overflows in Python floats, and 10 ** -400 underflows to
+        # a zero channel that would otherwise surface as a zero h_i: both are
+        # config errors that name k_los_db, not numerical failures.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"channel": {"k_los_db": k_los_db}, "sweep": {"n_values": [1], "trials": 1}}))
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: k_los_db {float(k_los_db)!r} gives the LOS links") and err.count("\n") == 1
+        assert f"of {k_los};" in err and "must be strictly positive and finite" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
         cfg = self._smoke_config(tmp_path)

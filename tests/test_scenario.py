@@ -17,7 +17,7 @@ from relayauction import (
     sample_candidates,
     sample_instance,
 )
-from relayauction.scenario import REJECTION_BUDGET, SamplingExhausted, _segment_clears
+from relayauction.scenario import REJECTION_BUDGET, SamplingExhausted, _clears
 
 # 10^(-2.5) * 98^(-2.88): direct-link channel power at unit fading for the
 # default source position (7, 7).
@@ -101,6 +101,122 @@ def _library_draw_instance(n, geom, chan, params, rng):
     return _reference_build_instance(positions, fading_s, fading_i, fading_si, geom, chan, params)
 
 
+# The scalar sampler as it stood before the lean trial path, kept as the
+# reference for sample_instance bit for bit: two predicate calls per point,
+# batches converted 32 rows at a time, the channels assembled from an (n, 2)
+# positions array and stacked in one (4, n) array, and the instance's range
+# check over the concatenated arrays.
+
+
+def _reference_segment_clears(px, py, ex, ey, cx, cy, radius):
+    dx = ex - px
+    dy = ey - py
+    len2 = dx * dx + dy * dy
+    t = ((cx - px) * dx + (cy - py) * dy) / len2 if len2 > 0.0 else 0.0
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    ox = cx - (px + t * dx)
+    oy = cy - (py + t * dy)
+    return ox * ox + oy * oy > radius * radius
+
+
+def _reference_sample_candidates(n, geom, rng):
+    xmin, xmax, ymin, ymax = geom.sampling_box_m
+    sx, sy = xmax - xmin, ymax - ymin
+    (qx, qy), (cx, cy), r = geom.q_s_m, geom.blockage_center_m, geom.blockage_radius_m
+    out = []
+    attempts = 0
+    budget = REJECTION_BUDGET * n
+    while True:
+        if attempts >= budget:
+            raise SamplingExhausted(
+                f"rejection sampling exhausted {budget} attempts for {n} candidates; "
+                f"the doubly-LOS region inside {geom.sampling_box_m} is too small"
+            )
+        u = rng.random((256, 2))
+        attempts += 256
+        for i in range(0, 256, 32):
+            for ux, uy in u[i : i + 32].tolist():
+                x, y = xmin + ux * sx, ymin + uy * sy
+                if _reference_segment_clears(x, y, 0.0, 0.0, cx, cy, r) and _reference_segment_clears(
+                    x, y, qx, qy, cx, cy, r
+                ):
+                    out.append((x, y))
+                    if len(out) == n:
+                        return np.array(out)
+
+
+def _reference_range_check(fields):
+    # The first field in declaration order that is not finite and > 0 is named.
+    names = ("h_i", "h_si", "alpha_tilde", "z_w")
+    values = np.concatenate([fields[name] for name in names])
+    finite = 0.0 < fields["h_s"] < math.inf and 0.0 < fields["z0_w"] < math.inf
+    if not (finite and (values.min() > 0.0 and values.max() < math.inf)):
+        for name in ("h_s", "h_i", "h_si", "alpha_tilde", "z0_w", "z_w"):
+            value = np.asarray(fields[name])
+            if not ((value > 0.0) & (value < np.inf)).all():
+                raise ValueError(f"{name}{' entries' if value.ndim else ''} must be strictly positive and finite")
+
+
+def _reference_scalar_build(positions, fading_s, fading_i, fading_si, geom, chan, params):
+    positions = np.asarray(positions, float)
+    qx, qy = geom.q_s_m
+    d_s = float(np.hypot(qx, qy))
+    try:
+        source_loss = 10.0 ** (chan.k_nlos_db / 10.0) * d_s ** (-chan.eta_nlos)
+    except ArithmeticError:
+        source_loss = math.inf
+    if not 0.0 < source_loss < math.inf:
+        raise ValueError(
+            f"q_s_m {list(geom.q_s_m)} gives the direct link a path loss k_nlos*d_s^-eta_nlos of "
+            f"{source_loss!r} (k_nlos_db {chan.k_nlos_db!r}, eta_nlos {chan.eta_nlos!r}); "
+            "it must be strictly positive and finite"
+        )
+    k_los = 10.0 ** (chan.k_los_db / 10.0)
+    h_s = source_loss * float(fading_s)
+    xs, ys = positions[:, 0].tolist(), positions[:, 1].tolist()
+    d2 = [x * x + y * y for x, y in zip(xs, ys)]
+    d2 += [(x - qx) * (x - qx) + (y - qy) * (y - qy) for x, y in zip(xs, ys)]
+    loss = (np.sqrt(d2) ** (-chan.eta_los)).tolist()
+    fading = np.array((fading_i, fading_si), float).ravel().tolist()
+    h = [k_los * g * f for g, f in zip(loss, fading, strict=True)]
+    h_i, h_si = h[: len(xs)], h[len(xs) :]
+    alpha_tilde = [g * params.a_r_m2 * params.alpha for g in h_si]
+    z0 = params.sigma2_w / h_s if h_s else math.inf
+    z = [params.sigma2_w * (1.0 / g + 1.0 / (a * hi)) if g and a * hi else math.inf
+         for g, a, hi in zip(h_si, alpha_tilde, h_i)]
+    h_i, h_si, alpha_tilde, z = np.array((h_i, h_si, alpha_tilde, z))
+    fields = dict(candidate_positions_m=positions, h_s=h_s, h_i=h_i, h_si=h_si, alpha_tilde=alpha_tilde,
+                  z0_w=z0, z_w=z)
+    _reference_range_check(fields)
+    return fields
+
+
+def _reference_scalar_sample(n, geom, chan, params, rng):
+    positions = _reference_sample_candidates(n, geom, rng)
+    fading = rng.standard_exponential(2 * n + 1)
+    return _reference_scalar_build(positions, fading[0], fading[1 : n + 1], fading[n + 1 :], geom, chan, params)
+
+
+_FIELDS = ("candidate_positions_m", "h_s", "h_i", "h_si", "alpha_tilde", "z0_w", "z_w")
+MOSTLY_BLOCKED = GeometryConfig(blockage_radius_m=3.2, sampling_box_m=(0.0, 7.0, 0.0, 7.0))
+# Every point of this box lies inside the blockage disc.
+EXHAUSTED = GeometryConfig(sampling_box_m=(4.05, 4.2, 4.05, 4.2))
+
+
+def _exact_outcome(draw, n, geom, chan, params, rng):
+    # Every field's dtype, shape and bytes, or the exception's type and text;
+    # then the generator's whole state.
+    try:
+        fields = draw(n, geom, chan, params, rng)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        got = (type(exc), str(exc))
+    else:
+        fields = vars(fields) if isinstance(fields, ScenarioInstance) else fields
+        got = [(np.asarray(fields[name]).dtype, np.asarray(fields[name]).shape, np.asarray(fields[name]).tobytes())
+               for name in _FIELDS]
+    return got, rng.bit_generator.state
+
+
 def _chi_square_mesh(geom, grid):
     # Cell centres of a grid x grid mesh over the sampling box, x-major.
     xmin, xmax, ymin, ymax = geom.sampling_box_m
@@ -153,6 +269,41 @@ def _outcome(draw_instance, n, geom, chan, params, seed):
         return repr(exc), rng.random()
     names = ("candidate_positions_m", "h_s", "h_i", "h_si", "alpha_tilde", "z0_w", "z_w")
     return [np.asarray(getattr(inst, name)).tobytes() for name in names], rng.random()
+
+
+class TestScalarReference:
+    """sample_instance against the scalar sampler it replaced."""
+
+    @settings(max_examples=90, deadline=None)
+    @given(
+        st.sampled_from([GeometryConfig(), MOSTLY_BLOCKED, EXHAUSTED]),
+        st.integers(1, 8),
+        st.integers(0, 2**63),
+    )
+    def test_fields_state_and_errors_are_the_reference_ones(self, geom, n, seed):
+        chan, params = ChannelConfig(), SystemParams()
+        want = _exact_outcome(_reference_scalar_sample, n, geom, chan, params, np.random.default_rng(seed))
+        assert _exact_outcome(sample_instance, n, geom, chan, params, np.random.default_rng(seed)) == want
+
+    def test_candidates_are_the_reference_positions(self):
+        geom = MOSTLY_BLOCKED
+        for seed in range(20):
+            a = sample_candidates(1 + seed % 8, geom, np.random.default_rng(seed))
+            b = _reference_sample_candidates(1 + seed % 8, geom, np.random.default_rng(seed))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scenarios(), st.integers(1, 8), st.integers(0, 2**32))
+    def test_build_instance_is_the_reference_one(self, scenario, n, seed):
+        geom, chan, params = scenario
+        rng = np.random.default_rng(seed)
+        positions = rng.uniform(-12.0, 12.0, (n, 2))
+        fading = rng.standard_exponential(2 * n + 1)
+        args = (positions, fading[0], fading[1 : n + 1], fading[n + 1 :], geom, chan, params)
+        # k_los_db stays in [-30, 20] dB, where the reference's k_los is
+        # finite and positive and the two name the same field.
+        want = _exact_outcome(lambda *_: _reference_scalar_build(*args), n, geom, chan, params, rng)
+        assert _exact_outcome(lambda *_: build_instance(*args), n, geom, chan, params, rng) == want
 
 
 class TestConfigs:
@@ -245,13 +396,14 @@ class TestSegmentPredicate:
             ((-1.0, 1.5), (1.0, 1.5), True),
             ((2.0, 0.0), (3.0, 0.0), True),  # t = -2 clamped at 0: the nearest point is p
             ((-3.0, 0.0), (-2.0, 0.0), True),  # t = 3 clamped at 1: the nearest point is e
+            ((0.0, 1.0), (0.0, 2.0), False),  # t = -1 clamped at 0, p on the circle: not clear
             ((-2.0, 0.0), (2.0, 0.0), False),  # t = 1/2, through the centre
         ],
         ids=["endpoint-clear", "endpoint-inside", "endpoint-on-circle", "tangent", "above",
-             "clamped-at-0", "clamped-at-1", "through-centre"],
+             "clamped-at-0", "clamped-at-1", "on-circle-clamped-at-0", "through-centre"],
     )
     def test_cases(self, p, e, clear):
-        assert _segment_clears(*p, *e, 0.0, 0.0, 1.0) is clear
+        assert _clears(*p, (e,), 0.0, 0.0, 1.0) is clear
         assert bool(_segments_clear(*p, *e, (0.0, 0.0), 1.0)) is clear
 
 
@@ -360,7 +512,8 @@ class TestInstances:
         [
             # The parent's Python division raised ZeroDivisionError here.
             ({}, (0.0, [1.0, 1.0], [1.0, 1.0]), "^h_s must be strictly positive"),
-            ({"k_los_db": -4000.0}, (1.0, [1.0, 1.0], [1.0, 1.0]), "^h_i entries"),
+            # k_los underflows to 0: named where it is computed, not as a zero h_i.
+            ({"k_los_db": -4000.0}, (1.0, [1.0, 1.0], [1.0, 1.0]), r"^k_los_db -4000\.0 gives the LOS links"),
             ({}, (1.0, [1.0, 0.0], [1.0, 1.0]), "^h_i entries"),
             ({}, (1.0, [1.0, 1.0], [0.0, 1.0]), "^h_si entries"),
             # alpha_tilde * h_i underflows to 0 although both are positive.

@@ -15,6 +15,17 @@ from relayauction import (
     value_of_z,
     z_of_value,
 )
+from relayauction import kernel
+from relayauction.kernel import (
+    _INV_E,
+    _LN2,
+    _SERIES_C2,
+    _SERIES_C3,
+    _SERIES_R,
+    CAP_TIE_REL,
+    ScheduleOverflow,
+    _lambert_core,
+)
 from relayauction.numerics import DEFAULT_TOL
 from relayauction.schedule import optimal_schedules
 from relayauction.verify import _kink_z, oracle_schedule_cost, oracle_z_of_value
@@ -206,6 +217,138 @@ class TestOptimalSchedule:
     def test_overflowing_schedule_is_a_convergence_error(self, params10):
         with pytest.raises(ConvergenceError, match="no finite schedule"):
             optimal_schedule(1e308, params10)
+
+
+def _reference_schedule(z, d, lam, p_max):
+    # kernel.schedule as it stood before it decided the cap ahead of the
+    # Lambert solve: every interior-branch call solves.
+    r = lam / z
+    if r < _SERIES_R:
+        q = math.sqrt(2.0 * r)
+        wp1 = q * (1.0 + q * (_SERIES_C2 + q * _SERIES_C3))
+    else:
+        tol = DEFAULT_TOL
+        wp1 = _lambert_core((r - 1.0) * _INV_E, tol.abs_tol, tol.rel_tol, tol.max_iter) + 1.0
+    t_unc = d * _LN2 / wp1 if wp1 > 0.0 else 0.0
+    cap_rate = math.log1p(p_max / z)
+    t_min = d * _LN2 / cap_rate if cap_rate > 0.0 else math.inf
+    if t_unc >= t_min:
+        t = t_unc
+        active = (t_unc - t_min) <= CAP_TIE_REL * t_unc
+    else:
+        t = t_min
+        active = True
+    p = p_max if active else math.expm1(d * _LN2 / t) * z
+    c = t * (lam + p)
+    if not math.isfinite(c):
+        raise ScheduleOverflow(f"no finite schedule for z={z!r}")
+    return t, p, c, active
+
+
+def _tuple_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc), str(exc)
+
+
+def _counting_solves(monkeypatch):
+    # The arguments of every Lambert solve the kernel makes from here on.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _lambert_core(*args)
+
+    monkeypatch.setattr(kernel, "_lambert_core", counted)
+    return calls
+
+
+def _at_cap_duration(z, d, lam, p_max):
+    # Whether the reference returns the cap's own duration: where its Lambert
+    # w + 1 reaches log1p(p_max/z), the boundary the pre-decision must keep.
+    t = _reference_schedule(z, d, lam, p_max)[0]
+    return t == d * _LN2 / math.log1p(p_max / z)
+
+
+def _active(z, d, lam, p_max):
+    return _reference_schedule(z, d, lam, p_max)[3]
+
+
+def _cap_band(d, lam, p_max, capped=_active):
+    # The z at which capped(z) turns on, bracketed by bisection in log z over
+    # [1e-12, 1e14], and points in ulps and relative steps about it; empty
+    # when it does not turn on there.
+    lo, hi = 1e-12, 1e14
+    if capped(lo, d, lam, p_max) or not capped(hi, d, lam, p_max):
+        return []
+    while True:
+        mid = math.sqrt(lo * hi)
+        if mid in (lo, hi):
+            break
+        if capped(mid, d, lam, p_max):
+            hi = mid
+        else:
+            lo = mid
+    band = [lo, hi]
+    for _ in range(24):
+        band += [math.nextafter(band[-2], 0.0), math.nextafter(band[-1], math.inf)]
+    for k in range(-16, -5):
+        for rel in (10.0**k, 3.0 * 10.0**k):
+            band += [lo * (1.0 - rel), hi * (1.0 + rel), lo * (1.0 + rel), hi * (1.0 - rel)]
+    return band
+
+
+class TestCapBeforeSolve:
+    """kernel.schedule decides the cap before solving Lambert W; the
+    reference solves first. Tuples and exceptions are held equal."""
+
+    @given(
+        log_z=st.floats(-12.0, 14.0),
+        log_lam=st.floats(-6.0, 3.0),
+        log_pmax=st.floats(-3.0, 6.0),
+        log_d=st.floats(-1.0, 2.0),
+    )
+    @settings(max_examples=2000, deadline=None)
+    def test_whole_range_is_the_reference(self, log_z, log_lam, log_pmax, log_d):
+        args = (10.0**log_z, 10.0**log_d, 10.0**log_lam, 10.0**log_pmax)
+        assert _tuple_or_error(kernel.schedule, *args) == _tuple_or_error(_reference_schedule, *args)
+
+    @given(
+        log_lam=st.floats(-6.0, 3.0),
+        log_pmax=st.floats(-3.0, 6.0),
+        log_d=st.floats(-1.0, 2.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cap_boundary_band_is_the_reference(self, log_lam, log_pmax, log_d):
+        # About where the cap flag turns on, and about where the duration
+        # becomes the cap's, which the tie puts about 1e-12 further in.
+        d, lam, p_max = 10.0**log_d, 10.0**log_lam, 10.0**log_pmax
+        for z in _cap_band(d, lam, p_max) + _cap_band(d, lam, p_max, _at_cap_duration):
+            want = _tuple_or_error(_reference_schedule, z, d, lam, p_max)
+            assert _tuple_or_error(kernel.schedule, z, d, lam, p_max) == want, z
+
+    def test_band_holds_solved_and_decided_points(self, monkeypatch):
+        # The band reaches both sides of the pre-decision's margin: some of
+        # its capped points are decided without a solve, some are solved.
+        band = _cap_band(8.0, 1.0, 10.0, _at_cap_duration)
+        capped = [z for z in band if _at_cap_duration(z, 8.0, 1.0, 10.0)]
+        calls = _counting_solves(monkeypatch)
+        for z in capped:
+            kernel.schedule(z, 8.0, 1.0, 10.0)
+        assert 0 < len(calls) < len(capped)
+
+    @pytest.mark.parametrize("z", [1e4, 1e6, 1e12])
+    def test_clearly_capped_channel_solves_nothing(self, monkeypatch, params10, z):
+        calls = _counting_solves(monkeypatch)
+        sol = optimal_schedule(z, params10)
+        assert sol.constraint_active and calls == []
+
+    @pytest.mark.parametrize("z", [1e-3, 1.0, 2.0])
+    def test_uncapped_channel_solves(self, monkeypatch, params10, z):
+        calls = _counting_solves(monkeypatch)
+        sol = optimal_schedule(z, params10)
+        assert not sol.constraint_active and len(calls) >= 1
 
 
 class TestArrayKernel:
