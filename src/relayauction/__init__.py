@@ -40,7 +40,6 @@ from .scenario import (
     ScenarioInstance,
     build_instance,
     has_los,
-    sample_candidates,
     sample_instance,
 )
 from .schedule import (
@@ -82,7 +81,6 @@ __all__ = [
     "ScenarioInstance",
     "build_instance",
     "has_los",
-    "sample_candidates",
     "sample_instance",
     "ScheduleSolution",
     "SystemParams",

@@ -95,8 +95,13 @@ def cost(t, z, d, lam):
 
 
 def min_power(t, z, d):
-    # expm1 keeps 2^(d/t) - 1 exact at long durations.
-    return math.expm1(d * _LN2 / t) * z
+    # expm1 keeps 2^(d/t) - 1 exact at long durations; where 2^(d/t) alone
+    # overflows, the 1 is below its last bit and the power is taken in logs.
+    a = d * _LN2 / t
+    try:
+        return math.expm1(a) * z
+    except OverflowError:
+        return math.exp(a + math.log(z))
 
 
 def schedule(z, d, lam, p_max):
@@ -125,6 +130,8 @@ def schedule(z, d, lam, p_max):
         # r - 1 cancels against 1.
         q = math.sqrt(2.0 * r)
         wp1 = q * (1.0 + q * (_SERIES_C2 + q * _SERIES_C3))
+    elif r == math.inf:  # x overflows too; W0 comes from ln x
+        wp1 = float(_w0_beyond(lam, z)) + 1.0
     else:
         x = (r - 1.0) * _INV_E
         # Where the solve's w + 1 would round to at least cap_rate, cap_rate
@@ -157,6 +164,18 @@ def _capped(x, cap_rate):
     ax = abs(x)
     tol_f = _ABS_TOL if _ABS_TOL > _REL_TOL * ax else _REL_TOL * ax
     return x - g > 2.0 * tol_f + _CAP_SLACK * (ax + abs(g))
+
+
+def _w0_beyond(lam, z):
+    # W0((lam/z - 1)/e) where lam/z overflows, for both kernels: two Newton
+    # steps on w + ln w = ln x from _lambert_core's asymptotic guess, which is
+    # within 1e-4 of w at ln x > 708; each step squares the error over 2w^2.
+    log_x = np.log(lam) - np.log(z) - 1.0
+    l2 = np.log(log_x)
+    w = log_x - l2 + l2 / log_x
+    for _ in range(2):
+        w = w - (w + np.log(w) - log_x) / (1.0 + 1.0 / w)
+    return w
 
 
 def value(z, d, lam, p_max):
@@ -206,18 +225,23 @@ def schedules(z, d, lam, p_max):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = lam / z
         near = r < _SERIES_R
+        over = r == math.inf
         q = np.sqrt(2.0 * r)
         series = q * (1.0 + q * (_SERIES_C2 + q * _SERIES_C3))
-        # Series elements take the branch point instead: no Halley steps.
-        x = np.where(near, _NEG_INV_E, (r - 1.0) * _INV_E)
+        # Series and overflowing elements take the branch point instead: no Halley steps.
+        x = np.where(near | over, _NEG_INV_E, (r - 1.0) * _INV_E)
         wp1 = np.where(near, series, _lambert_w0s(x) + 1.0)
+        wp1[over] = _w0_beyond(lam, z[over]) + 1.0
         t_unc = np.where(wp1 > 0.0, d * _LN2 / wp1, 0.0)
         cap_rate = np.log1p(p_max / z)
         t_min = np.where(cap_rate > 0.0, d * _LN2 / cap_rate, math.inf)
         unc = t_unc >= t_min
         t = np.where(unc, t_unc, t_min)
         active = ~unc | ((t_unc - t_min) <= CAP_TIE_REL * t_unc)
-        p = np.where(active, p_max, np.expm1(d * _LN2 / t) * z)
+        grow = np.expm1(d * _LN2 / t)
+        p = np.where(active, p_max, grow * z)
+        big = ~active & (grow == math.inf)  # min_power's rule
+        p[big] = np.exp(d * _LN2 / t[big] + np.log(z[big]))
         c = t * (lam + p)
     return t, p, c, active
 

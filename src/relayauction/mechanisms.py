@@ -45,7 +45,6 @@ from .schedule import (
     z_of_value,
 )
 
-PROFILE_FORMAT = "relayauction/strategy-profile"
 OUTCOME_FORMAT = "relayauction/auction-outcome"
 RECORD_VERSION = 1
 
@@ -89,13 +88,6 @@ class StrategyProfile:
             raise ValueError("profile needs exactly one reservation bid (bidder 0)")
         if len(set(bidders)) != len(bidders):
             raise ValueError("bidder indices must be unique")
-
-    def to_record(self) -> dict:
-        return write(self, format=PROFILE_FORMAT, version=RECORD_VERSION)
-
-    @classmethod
-    def from_record(cls, record: dict) -> "StrategyProfile":
-        return read_record(cls, record, PROFILE_FORMAT, RECORD_VERSION)
 
 
 @dataclass(frozen=True, slots=True)

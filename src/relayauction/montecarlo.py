@@ -12,7 +12,7 @@ import math
 import operator
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -92,11 +92,12 @@ class CellStats:
     std_err_net_harvest_j: float
     win_rate_source: float
 
+    # vars(self) holds the fields in declaration order, with no deep copies.
     def to_record(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
     def csv_row(self) -> str:
-        return ",".join(v if isinstance(v, str) else repr(v) for v in astuple(self))
+        return ",".join(v if isinstance(v, str) else repr(v) for v in vars(self).values())
 
 
 CSV_HEADER = ",".join(f.name for f in fields(CellStats))

@@ -7,11 +7,11 @@ region with clear line of sight to both endpoints and enjoy LOS path loss.
 Channel powers combine a log-distance law with unit-mean exponential
 (Rayleigh) fading, drawn independently per link.
 
-``sample_instance`` is a sweep trial's scalar path: the geometry and
-path-loss constants are read once per call, each candidate point is tested
-against both of its segments in one call of the predicate ``has_los`` also
-uses, and the channels are assembled in Python floats around one numpy
-``sqrt`` and ``power`` of the 2n link lengths.
+One builder assembles every instance in Python floats around one numpy
+``sqrt`` and ``power`` of the 2n link lengths, from ``sample_instance``'s
+draws (a sweep trial's path) or ``build_instance``'s arguments. The sampler
+tests each candidate point against both of its segments in one call of the
+predicate ``has_los`` also uses.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ class SamplingExhausted(RuntimeError, ValueError):
 
 
 def _sample_xy(n: int, geom: GeometryConfig, rng: np.random.Generator) -> list[float]:
-    # sample_candidates' points as one flat list [x0, y0, x1, y1, ...], n >= 1.
+    # sample_instance's points as one flat list [x0, y0, x1, y1, ...], n >= 1.
     # A batch is 2 * _BATCH uniforms, the same stream as rng.random((_BATCH, 2)).
     xmin, xmax, ymin, ymax = geom.sampling_box_m
     sx, sy = xmax - xmin, ymax - ymin
@@ -207,24 +207,6 @@ def _sample_xy(n: int, geom: GeometryConfig, rng: np.random.Generator) -> list[f
         f"rejection sampling exhausted {budget} attempts for {n} candidates; "
         f"the doubly-LOS region inside {geom.sampling_box_m} is too small"
     )
-
-
-def sample_candidates(n: int, geom: GeometryConfig, rng: np.random.Generator) -> np.ndarray:
-    """Uniform positions over the part of the box with LOS to both endpoints.
-
-    Plain rejection sampling in fixed-size batches (so draw counts, and hence
-    reproducibility, do not depend on how many candidates are requested at
-    once). Each batch is ``rng.uniform``'s draw, low + (high - low) * u. Its
-    points are tested in order, each against its segment to the access point
-    and then to the source in one predicate call, and sampling stops at the
-    n-th that passes. Raises SamplingExhausted when the budget of 10^4
-    attempts per candidate is exhausted.
-    """
-    if n < 0:
-        raise ValueError("candidate count must be non-negative")
-    if n == 0:
-        return np.empty((0, 2))
-    return np.array(_sample_xy(n, geom, rng)).reshape(n, 2)
 
 
 @functools.lru_cache(maxsize=64)
@@ -258,32 +240,37 @@ def _path_loss_constants(q_s_m: tuple[float, float], chan: ChannelConfig) -> tup
     return source_loss, k_los
 
 
-def _channels(xs: list, ys: list, fading_s: float, fading: list, q_s_m, chan: ChannelConfig, params: SystemParams):
-    # The channels of candidates at (xs[i], ys[i]) in Python floats:
-    # (h_s, h_i + h_si, alpha_tilde, z0, z), with fading the 2n link fadings,
-    # those to the access point (origin) first. Only the path loss of the 2n
-    # link lengths takes numpy's power, whose last bits libm's pow does not
-    # match.
-    source_loss, k_los = _path_loss_constants(q_s_m, chan)
-    qx, qy = q_s_m
-    h_s = source_loss * fading_s
+def _instance(
+    xy: list, fading: list, geom: GeometryConfig, chan: ChannelConfig, params: SystemParams
+) -> ScenarioInstance:
+    # The instance of candidates at xy = [x0, y0, x1, y1, ...] under the 2n + 1
+    # link fadings: the source's, then those to the access point (origin), then
+    # to the source. Only the 2n link lengths' path loss takes numpy's power,
+    # whose last bits libm's pow does not match.
+    source_loss, k_los = _path_loss_constants(geom.q_s_m, chan)
+    qx, qy = geom.q_s_m
     d2_ap, d2_src = [], []
-    for x, y in zip(xs, ys):
+    for x, y in zip(xy[0::2], xy[1::2]):
         d2_ap.append(x * x + y * y)
         dx, dy = x - qx, y - qy
         d2_src.append(dx * dx + dy * dy)
+    n = len(d2_ap)
     loss = (np.sqrt(d2_ap + d2_src) ** (-chan.eta_los)).tolist()
-    h = [k_los * g * f for g, f in zip(loss, fading, strict=True)]
+    h = [k_los * g * f for g, f in zip(loss, fading[1:], strict=True)]
     a_r, alpha, sigma2 = params.a_r_m2, params.alpha, params.sigma2_w
     alpha_tilde, z = [], []
     # A zero or underflowed channel divides to inf, as in numpy; the instance rejects it.
-    for h_i, h_si in zip(h, h[len(xs) :]):
+    for h_i, h_si in zip(h, h[n:]):
         a = h_si * a_r * alpha
         alpha_tilde.append(a)
         a_h = a * h_i
         z.append(sigma2 * (1.0 / h_si + 1.0 / a_h) if h_si and a_h else math.inf)
+    h_s = source_loss * fading[0]
     z0 = sigma2 / h_s if h_s else math.inf
-    return h_s, h, alpha_tilde, z0, z
+    # The position and channel arrays are views of one array.
+    arr = np.fromiter(xy + h + alpha_tilde + z, float, 6 * n)
+    h_i, h_si, alpha_tilde, z = arr[2 * n :].reshape(4, n)
+    return ScenarioInstance(arr[: 2 * n].reshape(n, 2), h_s, h_i, h_si, alpha_tilde, z0, z)
 
 
 def build_instance(
@@ -297,11 +284,10 @@ def build_instance(
 ) -> ScenarioInstance:
     """Deterministic instance assembly from positions and fading draws."""
     positions = np.asarray(positions, float)
-    xs, ys = positions[:, 0].tolist(), positions[:, 1].tolist()
-    fading = np.array((fading_i, fading_si), float).ravel().tolist()
-    h_s, h, alpha_tilde, z0, z = _channels(xs, ys, float(fading_s), fading, geom.q_s_m, chan, params)
-    h_i, h_si, alpha_tilde, z = np.array(h + alpha_tilde + z).reshape(4, len(xs))
-    return ScenarioInstance(positions, h_s, h_i, h_si, alpha_tilde, z0, z)
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise ValueError(f"candidate_positions_m must be a list of [x, y] pairs, got shape {positions.shape}")
+    fading = [float(fading_s), *np.array((fading_i, fading_si), float).ravel().tolist()]
+    return _instance(positions.ravel().tolist(), fading, geom, chan, params)
 
 
 def sample_instance(
@@ -311,24 +297,17 @@ def sample_instance(
     params: SystemParams,
     rng: np.random.Generator,
 ) -> ScenarioInstance:
-    """Sample candidate positions, then one Exp(1) fading draw per link.
+    """Sample n candidate positions, then one Exp(1) fading draw per link.
 
-    Draw order is fixed (positions, source fading, candidate-AP fadings,
-    source-candidate fadings) so a given generator state maps to exactly one
-    instance. The fadings are one draw of 2n + 1 standard exponentials, the
-    same stream as three ``exponential`` calls. The instance is the one
-    ``build_instance`` makes of ``sample_candidates``' positions and those
-    draws, bit for bit; its position and channel arrays are views of one
-    array built from Python floats.
+    The positions are uniform over the part of the box with LOS to both
+    endpoints: rejection sampling in batches of 256 ``rng.uniform`` points,
+    so draw counts do not depend on n, up to the n-th point that passes.
+    Raises SamplingExhausted after 10^4 attempts per candidate. The fadings
+    (source, candidate-AP, source-candidate) are one draw of 2n + 1 standard
+    exponentials, the same stream as three ``exponential`` calls, so a
+    generator state maps to exactly one instance.
     """
     if n < 1:
         raise ValueError("need at least one candidate")
     xy = _sample_xy(n, geom, rng)
-    fading = rng.standard_exponential(2 * n + 1).tolist()
-    h_s, h, alpha_tilde, z0, z = _channels(xy[0::2], xy[1::2], fading[0], fading[1:], geom.q_s_m, chan, params)
-    # The positions, then h_i, h_si, alpha_tilde and z, n entries each.
-    arr = np.fromiter(xy + h + alpha_tilde + z, float, 6 * n)
-    m = 2 * n
-    return ScenarioInstance(
-        arr[:m].reshape(n, 2), h_s, arr[m : 3 * n], arr[3 * n : 4 * n], arr[4 * n : 5 * n], z0, arr[5 * n :]
-    )
+    return _instance(xy, rng.standard_exponential(2 * n + 1).tolist(), geom, chan, params)

@@ -34,3 +34,19 @@ def test_one_module_defines_the_lambert_solver():
         if isinstance(node, ast.FunctionDef) and node.name in ("lambert_w0", "_lambert_core")
     ]
     assert sorted(set(defining)) == ["kernel"]
+
+
+def test_one_function_assembles_scenario_instances():
+    # Two assembly paths in scenario would have to be held bit-identical by tests.
+    tree = _trees()["scenario"]
+
+    def calls(root):
+        return [
+            node
+            for node in ast.walk(root)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ScenarioInstance"
+        ]
+
+    builders = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and calls(node)]
+    assert len(calls(tree)) == 1
+    assert builders == ["_instance"]

@@ -40,6 +40,13 @@ class TestSolve:
         record, _ = _last_record(capsys)
         assert record["constraint_active"]
 
+    def test_channel_whose_lambda_over_z_overflows_is_solved(self, capsys):
+        # lambda/z = 1e310 is beyond the largest double; the schedule is not.
+        assert main(["solve", "--z", "1e-310"]) == 0
+        record, _ = _last_record(capsys)
+        assert record["cost_ws"] == optimal_schedule(1e-310, SystemParams()).cost_ws
+        assert not record["constraint_active"]
+
     def test_invalid_channel_usage_error(self, capsys):
         for z in ("-3", "0", "nan", "inf"):
             assert main(["solve", "--z", z]) == 1

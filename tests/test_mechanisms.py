@@ -76,6 +76,7 @@ class TestBidAndProfile:
             (("1", 0.5, 1), "t_s must be a finite number or null, got '1'"),
             ((1.0, np.bool_(True), 1), "p_tot_w must be a finite number, got np.True_"),
             ((1.0, math.inf, 1), "bid power must be strictly positive and finite"),
+            ((1.0, 0.5, -1), "bidder index must be non-negative"),
         ],
     )
     def test_bid_rejects_what_its_record_reader_rejects(self, args, message):
@@ -86,9 +87,6 @@ class TestBidAndProfile:
     def test_bid_stores_numbers_as_its_record_reader_does(self):
         bid = Bid(np.float32(1.5), 1, np.int64(2))
         assert (type(bid.t_s), type(bid.p_tot_w), type(bid.bidder)) == (float, float, int)
-        profile = StrategyProfile((Bid(1.0, 1.0, 0), bid))
-        record = json.loads(json.dumps(profile.to_record(), allow_nan=False))
-        assert StrategyProfile.from_record(record) == profile
 
     def test_profile_requires_single_reservation(self):
         with pytest.raises(ValueError):
@@ -101,27 +99,8 @@ class TestBidAndProfile:
             StrategyProfile((Bid(1.0, 1.0, 0), Bid(1.0, 1.0, 1), Bid(2.0, 1.0, 1)))
 
     def test_records_round_trip(self, golden_instance, golden_params):
-        profile = truthful_profile(golden_instance, golden_params)
-        back = StrategyProfile.from_record(profile.to_record())
-        assert back == profile
-        outcome = run_spoa(profile, golden_instance, golden_params)
+        outcome = run_spoa(truthful_profile(golden_instance, golden_params), golden_instance, golden_params)
         assert AuctionOutcome.from_record(outcome.to_record()) == outcome
-
-    def test_overflowing_bid_round_trips(self):
-        # A schedule that overflows bids t = inf, which the record writes as null.
-        params = SystemParams()
-        profile = StrategyProfile((truthful_bid(10.0, params, 0), truthful_bid(1e308, params, 1)))
-        record = json.loads(json.dumps(profile.to_record(), allow_nan=False))
-        assert record["bids"][1]["t_s"] is None
-        assert StrategyProfile.from_record(record) == profile
-
-    def test_profile_record_names_every_bad_bid(self, golden_instance, golden_params):
-        record = truthful_profile(golden_instance, golden_params).to_record()
-        record["bids"][0]["t_s"] = "1.0"
-        del record["bids"][2]["bidder"]
-        with pytest.raises(ValueError) as err:
-            StrategyProfile.from_record(record)
-        assert "bids[0].t_s" in str(err.value) and "bids[2].bidder" in str(err.value)
 
 
 class TestScore:
@@ -336,6 +315,12 @@ class TestExPostUtility:
         assert ex_post_utility(2, out, golden_instance, golden_params) == 0.0
         assert ex_post_utility(0, out, golden_instance, golden_params) == 0.0
 
+    def test_outcome_without_a_positive_duration_is_rejected(self, golden_instance, golden_params):
+        out = AuctionOutcome(1, 0, 0.0, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError) as err:
+            ex_post_utility(1, out, golden_instance, golden_params)
+        assert str(err.value) == "duration must be strictly positive, got 0.0"
+
     def test_break_even_payment_is_zero(self, golden_params):
         inst = _single_candidate_instance(10.0, 1.0)
         out = cooperative_baseline(truthful_profile(inst, golden_params), inst, golden_params)
@@ -419,6 +404,11 @@ class TestSampleDeviations:
     def test_requested_count(self, golden_params):
         rng = np.random.default_rng(8)
         assert len(sample_deviations(0.7, golden_params, 31, rng)) == 31
+
+    def test_needs_at_least_one_deviation(self, golden_params):
+        with pytest.raises(ValueError) as err:
+            sample_deviations(0.7, golden_params, 0, np.random.default_rng(8))
+        assert str(err.value) == "need k >= 1 deviations"
 
 
 class TestIncentiveFuzzSmoke:
@@ -818,6 +808,5 @@ class TestSlottedRecords:
             dataclasses.replace(bid, t_s=0.0)  # replace re-runs the checks
 
     def test_records_round_trip(self, records):
-        _, profile, outcome, _ = records
-        assert StrategyProfile.from_record(profile.to_record()) == profile
+        outcome = records[2]
         assert AuctionOutcome.from_record(outcome.to_record()) == outcome

@@ -122,6 +122,12 @@ class TestSolveIncreasing:
         with pytest.raises(ConvergenceError):
             solve_increasing(math.atan, 2.0, 0.0, ToleranceSpec(max_iter=60))
 
+    def test_bisection_out_of_steps(self):
+        # Three halvings of [0, 1] do not reach 0.3 to within 1e-12.
+        with pytest.raises(ConvergenceError) as err:
+            solve_increasing(lambda x: x, 0.3, 0.0, ToleranceSpec(max_iter=3))
+        assert str(err.value) == "bisection residual above tolerance for target=0.3"
+
     @given(
         a=st.floats(0.5, 3.0),
         b=st.floats(0.1, 2.0),

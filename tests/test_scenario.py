@@ -14,7 +14,6 @@ from relayauction import (
     SystemParams,
     build_instance,
     has_los,
-    sample_candidates,
     sample_instance,
 )
 from relayauction.scenario import REJECTION_BUDGET, SamplingExhausted, _clears
@@ -271,6 +270,11 @@ def _outcome(draw_instance, n, geom, chan, params, seed):
     return [np.asarray(getattr(inst, name)).tobytes() for name in names], rng.random()
 
 
+def _positions(n, geom, rng):
+    # The candidate positions sample_instance draws from rng.
+    return sample_instance(n, geom, ChannelConfig(), SystemParams(), rng).candidate_positions_m
+
+
 class TestScalarReference:
     """sample_instance against the scalar sampler it replaced."""
 
@@ -288,7 +292,7 @@ class TestScalarReference:
     def test_candidates_are_the_reference_positions(self):
         geom = MOSTLY_BLOCKED
         for seed in range(20):
-            a = sample_candidates(1 + seed % 8, geom, np.random.default_rng(seed))
+            a = _positions(1 + seed % 8, geom, np.random.default_rng(seed))
             b = _reference_sample_candidates(1 + seed % 8, geom, np.random.default_rng(seed))
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -408,33 +412,30 @@ class TestSegmentPredicate:
 
 
 class TestSampleCandidates:
-    def test_zero_candidates(self):
-        assert sample_candidates(0, GeometryConfig(), np.random.default_rng(0)).shape == (0, 2)
-
     def test_all_positions_doubly_visible(self):
         geom = GeometryConfig()
-        pts = sample_candidates(200, geom, np.random.default_rng(5))
+        pts = _positions(200, geom, np.random.default_rng(5))
         for p in pts:
             assert has_los(p, (0.0, 0.0), geom)
             assert has_los(p, geom.q_s_m, geom)
 
     def test_deterministic_for_seed(self):
         geom = GeometryConfig()
-        a = sample_candidates(50, geom, np.random.default_rng(42))
-        b = sample_candidates(50, geom, np.random.default_rng(42))
+        a = _positions(50, geom, np.random.default_rng(42))
+        b = _positions(50, geom, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_budget_exhaustion_raises(self):
         # A box tucked against the blockage has no doubly-LOS points at all.
         geom = GeometryConfig(sampling_box_m=(4.05, 4.2, 4.05, 4.2))
         with pytest.raises(RuntimeError, match="rejection sampling"):
-            sample_candidates(1, geom, np.random.default_rng(0))
+            _positions(1, geom, np.random.default_rng(0))
 
     def test_empirical_uniformity_chi_square(self):
         # Expected counts come from fine-grid integration of the valid area.
         geom = GeometryConfig()
         xmin, xmax, ymin, ymax = geom.sampling_box_m
-        pts = sample_candidates(100_000, geom, np.random.default_rng(777))
+        pts = _positions(100_000, geom, np.random.default_rng(777))
 
         grid = 1200
         mesh = _chi_square_mesh(geom, grid)
@@ -526,6 +527,12 @@ class TestInstances:
         positions = np.array([[2.0, 5.0], [1.8, 5.2]])
         with pytest.raises(ValueError, match=message):
             build_instance(positions, *fading, geom, chan, params)
+
+    @pytest.mark.parametrize("positions", [np.ones(2), np.ones((2, 3))], ids=["flat", "triples"])
+    def test_misshapen_positions_are_named(self, positions):
+        args = (1.0, np.ones(2), np.ones(2), GeometryConfig(), ChannelConfig(), SystemParams())
+        with pytest.raises(ValueError, match=r"^candidate_positions_m must be a list of \[x, y\] pairs, got shape"):
+            build_instance(positions, *args)
 
     @pytest.mark.parametrize("q_s_m", [(0.0, 0.0), (0.0, 2.2e-313), (1e60, 0.0)])
     def test_source_without_a_finite_path_loss_is_named(self, q_s_m):
@@ -636,9 +643,11 @@ class TestInstances:
     def test_numbers_it_takes_are_stored_as_its_reader_stores_them(self, golden_instance):
         inst = ScenarioInstance(**{
             **vars(golden_instance), "h_s": np.float32(0.5), "z0_w": 2, "h_i": [1, 2], "z_w": np.array([1, 2]),
+            "candidate_positions_m": [[1, 2], [3.5, 4.0]],
         })
         assert type(inst.h_s) is float and type(inst.z0_w) is float
-        assert inst.h_i.dtype == inst.z_w.dtype == np.float64
+        assert inst.h_i.dtype == inst.z_w.dtype == inst.candidate_positions_m.dtype == np.float64
+        assert inst.candidate_positions_m.tolist() == [[1.0, 2.0], [3.5, 4.0]]
         record = json.loads(json.dumps(inst.to_record(), allow_nan=False))
         back = ScenarioInstance.from_record(record)
         assert back.to_record() == inst.to_record()

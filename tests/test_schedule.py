@@ -351,6 +351,28 @@ class TestCapBeforeSolve:
         assert not sol.constraint_active and len(calls) >= 1
 
 
+class TestOverflowingLambdaOverZ:
+    """Channels so good that lambda/z overflows a double: W0 comes from its
+    logarithm, in both kernels, and 2^(D/t) - 1 may overflow on its own."""
+
+    # Half-decade steps; at lambda = 100, z = 1e-307 overflows lambda/z but not p_max/z.
+    ZS = np.concatenate(([5e-324, 1e-323], np.logspace(-323.0, -300.0, 47)))
+
+    @pytest.mark.parametrize("lam, p_max", [(1.0, 1.0), (100.0, 1.0), (100.0, 1e-3)])
+    def test_grid_is_the_oracle_optimum_in_both_kernels(self, lam, p_max):
+        params = SystemParams(lambda_w=lam, p_max_w=p_max)
+        assert lam / 5e-324 == math.inf and lam / 1e-300 < math.inf
+        t, p, c, active = optimal_schedules(self.ZS, params)
+        for i, z in enumerate(self.ZS.tolist()):
+            sol = optimal_schedule(z, params)
+            # The oracle stops within 1e-9 of a binding cap's edge.
+            rel = 1e-9 if sol.constraint_active else 1e-12
+            assert sol.cost_ws == pytest.approx(oracle_schedule_cost(z, params), rel=rel)
+            assert (t[i], p[i], c[i]) == pytest.approx((sol.t_star_s, sol.p_star_w, sol.cost_ws), rel=1e-14)
+            assert bool(active[i]) == sol.constraint_active
+        assert active.any() == (p_max < 1.0)
+
+
 class TestArrayKernel:
     """``optimal_schedules`` against the scalar kernel, its reference."""
 
@@ -490,6 +512,18 @@ class TestClosedFormInverse:
     def test_value_below_every_channel_is_a_value_error(self, params10, u):
         with pytest.raises(ValueError, match=re.escape(repr(u))):
             z_of_value(u, params10)
+
+    def test_schedule_failure_inside_the_polish_names_the_value(self):
+        # The Newton polish steps onto a channel whose capped schedule overflows.
+        params = SystemParams(lambda_w=1e-6, p_max_w=1e-6)
+        with pytest.raises(ConvergenceError, match=r"^cannot resolve value 1e\+306: no finite schedule for z="):
+            z_of_value(1e306, params)
+
+    def test_polish_out_of_steps_names_the_value(self):
+        params = SystemParams(p_max_w=1e-300, d_bits_per_hz=1e-300)
+        with pytest.raises(ConvergenceError) as err:
+            z_of_value(1e16, params)
+        assert str(err.value) == "cannot resolve value 1e+16 to tolerance in 200 steps"
 
     def test_huge_value_binds_the_cap(self, params10):
         z = z_of_value(1e300, params10)
