@@ -95,13 +95,18 @@ def cost(t, z, d, lam):
 
 
 def min_power(t, z, d):
+    """The power (2^(d/t) - 1)*z, +inf where it overflows a double."""
     # expm1 keeps 2^(d/t) - 1 exact at long durations; where 2^(d/t) alone
     # overflows, the 1 is below its last bit and the power is taken in logs.
     a = d * _LN2 / t
     try:
         return math.expm1(a) * z
     except OverflowError:
+        pass
+    try:
         return math.exp(a + math.log(z))
+    except OverflowError:
+        return math.inf
 
 
 def schedule(z, d, lam, p_max):
@@ -183,9 +188,15 @@ def value(z, d, lam, p_max):
 
 
 def min_powers(t, z, d):
-    """``min_power`` elementwise over arrays; inf where it overflows."""
-    with np.errstate(over="ignore"):
-        return np.expm1(d * _LN2 / t) * z
+    """``min_power`` elementwise over arrays, by the same rule."""
+    with np.errstate(over="ignore", divide="ignore"):
+        a = d * _LN2 / t
+        grow = np.expm1(a)
+        p = grow * z
+        big = grow == math.inf
+        if big.any():
+            p = np.where(big, np.exp(a + np.log(z)), p)
+    return p
 
 
 def _lambert_w0s(x):
@@ -238,10 +249,7 @@ def schedules(z, d, lam, p_max):
         unc = t_unc >= t_min
         t = np.where(unc, t_unc, t_min)
         active = ~unc | ((t_unc - t_min) <= CAP_TIE_REL * t_unc)
-        grow = np.expm1(d * _LN2 / t)
-        p = np.where(active, p_max, grow * z)
-        big = ~active & (grow == math.inf)  # min_power's rule
-        p[big] = np.exp(d * _LN2 / t[big] + np.log(z[big]))
+        p = np.where(active, p_max, min_powers(t, z, d))
         c = t * (lam + p)
     return t, p, c, active
 

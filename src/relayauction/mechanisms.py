@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import MaybeInf, plain, read_record, write
-from .kernel import _LN2, CAP_TIE_REL, ScheduleOverflow, min_powers
+from .kernel import CAP_TIE_REL, ScheduleOverflow, min_power, min_powers
 from .numerics import ConvergenceError
 from .scenario import ScenarioInstance
 from .schedule import (
@@ -155,23 +155,14 @@ def _gain(t, alpha_tilde, p, p_even):
     return t * alpha_tilde * (gap * (abs(gap) > CAP_TIE_REL * p) + 0.0)
 
 
-def _net_energy(t: float, p: float, winner: int, inst: ScenarioInstance, params: SystemParams):
-    """Candidate `winner`'s net harvest when paid (t, p), and the rate
-    2^(D/t) - 1 at t.
-
-    The rate times z_w is the break-even power ``min_total_power(t, z_w)``,
-    bit for bit and after the same checks. Raises OverflowError where the
-    rate overflows a double.
-    """
-    if not t > 0.0:
-        raise ValueError(f"duration must be strictly positive, got {t!r}")
+def _net_energy(t: float, p: float, winner: int, inst: ScenarioInstance, params: SystemParams) -> float:
+    """Candidate `winner`'s net harvest when paid (t, p), against the
+    break-even power ``min_total_power(t, z_w)``."""
     z_w = float(inst.z_w[winner - 1])
-    _check_z(z_w)
-    rate = math.expm1(params.d_bits_per_hz * _LN2 / t)
-    e = _gain(t, float(inst.alpha_tilde[winner - 1]), p, rate * z_w)
+    e = _gain(t, float(inst.alpha_tilde[winner - 1]), p, min_total_power(t, z_w, params))
     if not math.isfinite(e):
         raise ConvergenceError(f"winner {winner}'s net energy overflows a double")
-    return e, rate
+    return e
 
 
 def _paid_score(b: Bid, s: float) -> float:
@@ -221,8 +212,8 @@ def _outcome(
     z_relay = params.sigma2_w / float(inst.h_i[best.bidder - 1])
     if z_relay < math.inf:
         _check_z(z_relay)  # sigma2/h_i may underflow to 0
-    net, rate = _net_energy(t, p, best.bidder, inst, params)
-    relay_p = rate * z_relay if z_relay < math.inf else math.inf
+    net = _net_energy(t, p, best.bidder, inst, params)
+    relay_p = min_power(t, z_relay, params.d_bits_per_hz) if z_relay < math.inf else math.inf
     return AuctionOutcome(best.bidder, runner.bidder, t, p, cost, net, relay_p, relay_p <= params.p_max_w)
 
 
@@ -336,7 +327,7 @@ def ex_post_utility(i: int, outcome: AuctionOutcome, inst: ScenarioInstance, par
     """
     if i == SOURCE or i != outcome.winner:
         return 0.0
-    return _net_energy(outcome.payment_t_s, outcome.payment_p_w, i, inst, params)[0]
+    return _net_energy(outcome.payment_t_s, outcome.payment_p_w, i, inst, params)
 
 
 def non_ic_witness(z_win: float, params: SystemParams, eps1: float, bidder: int = 1) -> Bid:

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relayauction import (
@@ -720,8 +720,8 @@ class TestOnePassWinnerRule:
 
 
 class TestOutcomeBuilder:
-    """The winner's net energy and relay power from one rate 2^(D/t) - 1,
-    against the two ``min_total_power`` evaluations they replaced, exactly."""
+    """The winner's net energy and relay power against two
+    ``min_total_power`` evaluations, exactly."""
 
     @staticmethod
     def _two_evaluations(best, runner, t, p, cost, inst, params):
@@ -754,6 +754,12 @@ class TestOutcomeBuilder:
         own_schedule=st.booleans(),
         log_t=st.floats(-4.0, 6.0),
         p_frac=st.floats(1e-6, 1.0),
+    )
+    # 2^(D/t) overflows at t = 10^-2.11 (D*ln2/t = 714), but times z = 1e-6
+    # the break-even power is about 1.7e304: an outcome, not an error.
+    @example(
+        log_z=-6.0, log_h_i=0.0, log_alpha=0.0, log_lam=0.0, log_pmax=0.0,
+        source_wins=False, own_schedule=False, log_t=-2.11, p_frac=0.5,
     )
     @settings(max_examples=500, deadline=None)
     def test_matches_two_evaluations(

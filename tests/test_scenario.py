@@ -16,7 +16,7 @@ from relayauction import (
     has_los,
     sample_instance,
 )
-from relayauction.scenario import REJECTION_BUDGET, SamplingExhausted, _clears
+from relayauction.scenario import REJECTION_BUDGET, SamplingExhausted, _clears, _sample_xy
 
 # 10^(-2.5) * 98^(-2.88): direct-link channel power at unit fading for the
 # default source position (7, 7).
@@ -435,7 +435,8 @@ class TestSampleCandidates:
         # Expected counts come from fine-grid integration of the valid area.
         geom = GeometryConfig()
         xmin, xmax, ymin, ymax = geom.sampling_box_m
-        pts = _positions(100_000, geom, np.random.default_rng(777))
+        # sample_instance's positions, without the 100k channels it would build.
+        pts = np.reshape(_sample_xy(100_000, geom, np.random.default_rng(777)), (-1, 2))
 
         grid = 1200
         mesh = _chi_square_mesh(geom, grid)

@@ -372,6 +372,16 @@ class TestOverflowingLambdaOverZ:
             assert bool(active[i]) == sol.constraint_active
         assert active.any() == (p_max < 1.0)
 
+    def test_power_is_one_rule_in_both_kernels(self):
+        # D*ln2/t from 690 to 760 straddles expm1's overflow at 709.78; the
+        # power itself overflows where D*ln2/t + ln z > 709.78 as well.
+        a, z = np.meshgrid(np.linspace(690.0, 760.0, 57), np.logspace(-320.0, 10.0, 23))
+        t, z = (8.0 * LN2 / a).ravel(), z.ravel()
+        want = [kernel.min_power(ti, zi, 8.0) for ti, zi in zip(t.tolist(), z.tolist())]
+        got = kernel.min_powers(t, z, 8.0)
+        assert got.tolist() == pytest.approx(want, rel=1e-14)
+        assert math.inf in want and any(0.0 < w < math.inf and a_ > 709.8 for w, a_ in zip(want, a.ravel()))
+
 
 class TestArrayKernel:
     """``optimal_schedules`` against the scalar kernel, its reference."""
