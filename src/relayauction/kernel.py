@@ -1,12 +1,13 @@
 """The transmit-schedule kernel: the package's only one.
 
 The hot entry points are ``lambert_w0``, ``schedule`` (closed-form optimum
-for one effective channel) and ``value`` (its cost). The inverse of the
-value map is a closed form on top of these, in ``schedule.z_of_value``.
-``schedule`` decides a clearly binding power cap before it solves Lambert W
-and then skips the solve; the tuple is the one the solve would give, bit
-for bit (the proof is in its docstring). ``lambert_w0`` and
-``z_of_value``'s own solve are unchanged by it.
+for one effective channel), ``value`` (its cost) and ``rate_of_value``
+(the interior schedule's rate at a given cost, for ``schedule.z_of_value``,
+the inverse of ``value``). ``schedule`` decides a clearly binding power cap
+before it solves Lambert W and then skips the solve; the tuple is the one
+the solve would give, bit for bit (the proof is in its docstring).
+``rate_of_value`` solves no Lambert W: it takes the rate from an equation
+of its own, well conditioned where W0 next to its branch point is not.
 
 ``schedules`` and ``min_powers`` are their numpy twins over an array of
 channels, for the sweep's chunks: the same initial guesses, branch-point
@@ -49,6 +50,23 @@ _SERIES_R = _E * _SERIES_DX
 # Relative slack of the cap's pre-decision (see schedule), far above the few
 # ulps that w*e^w, exp and the products lose.
 _CAP_SLACK = 1e-13
+# rate_of_value's guesses: q*(1 + q/6 + q^2/36), q = sqrt(2b), below
+# _RATE_SERIES_B, where it is the closer one, and b + 1 - e^-(b + 1) above.
+# Below _RATE_LOW_B the first is s to within q^3/270 < 2^-56 relative, and
+# above _RATE_HIGH_B the second to within e^-2(b + 1), so neither is refined.
+_RATE_SERIES_B = 1.2
+_RATE_LOW_B = 1e-10
+_RATE_HIGH_B = 20.0
+# Each Halley step on s + expm1(-s) = b leaves at most a quarter of the cube
+# of the relative error it starts from, so s is within 2^-55 of the root
+# once a step is below _RATE_STEP relative. From either guess two steps do.
+_RATE_STEP = 4e-6
+_RATE_MAX_STEPS = 4
+# s + expm1(-s) = s^2 * sum (-s)^n/(n + 2)! below _EXCESS_S, where the sum
+# cancels by more than two bits: these 13 terms, highest first, leave less
+# than 2^-56 relative there.
+_EXCESS_S = 0.25
+_EXCESS_C = tuple((-1.0) ** n / math.factorial(n + 2) for n in range(12, -1, -1))
 
 
 class ScheduleOverflow(ConvergenceError):
@@ -185,6 +203,41 @@ def _w0_beyond(lam, z):
 
 def value(z, d, lam, p_max):
     return schedule(z, d, lam, p_max)[2]
+
+
+def rate_of_value(b):
+    """The s >= 0 with s + expm1(-s) = b, for b >= 0, to within a few ulps.
+
+    This is the interior schedule's rate s = d*ln2/t at cost u, with
+    b = d*ln2*lam/u (see ``schedule.z_of_value``); s = a + W0(-e^-a) with
+    a = 1 + b, but without the cancellation of W0 next to its branch point.
+    Halley steps from the closer of two guesses, on s + expm1(-s) - b taken
+    from its series where the sum cancels, stop on the step size.
+    """
+    if b >= _RATE_SERIES_B:
+        s = b + 1.0 - math.exp(-(b + 1.0))
+        if b > _RATE_HIGH_B:
+            return s
+    else:
+        q = math.sqrt(2.0 * b)
+        s = q * (1.0 + q * (1.0 / 6.0 + q * (1.0 / 36.0)))
+        if b < _RATE_LOW_B:
+            return s
+    for _ in range(_RATE_MAX_STEPS):
+        em = math.expm1(-s)
+        if s < _EXCESS_S:
+            acc = 0.0
+            for c in _EXCESS_C:
+                acc = acc * s + c
+            f = s * s * acc - b
+        else:
+            f = s + em - b
+        # f' = -em and f'' = 1 + em.
+        step = f / (-em + 0.5 * f * (1.0 + em) / em)
+        s -= step
+        if abs(step) <= _RATE_STEP * s:
+            break
+    return s
 
 
 def min_powers(t, z, d):

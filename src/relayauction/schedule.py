@@ -7,7 +7,7 @@ moving D bits/Hz in time t at the break-even power (2^(D/t)-1)*z is
 
 convex in t. ``optimal_schedule`` returns its closed-form minimizer subject
 to the transmit-power cap, ``value_of_z`` the optimal cost (strictly
-increasing in z), and ``z_of_value`` the closed-form inverse of that map.
+increasing in z), and ``z_of_value`` the inverse of that map.
 """
 
 from __future__ import annotations
@@ -20,7 +20,11 @@ import numpy as np
 from . import kernel
 from .jsonio import check_fields
 from .kernel import _LN2
-from .numerics import DEFAULT_TOL, ConvergenceError
+from .numerics import ConvergenceError
+
+# The least positive normal double, and the log of the largest double.
+_TINY = 2.2250738585072014e-308
+_LOG_HUGE = 709.782712893384
 
 
 @dataclass(frozen=True)
@@ -118,48 +122,53 @@ def z_of_value(u: float, params: SystemParams) -> float:
     """Inverse of ``value_of_z``: the z whose optimal cost equals u, to
     ``|value_of_z(z) - u| <= max(abs_tol, rel_tol*u)`` of ``DEFAULT_TOL``.
 
-    Closed form. Off the cap v = D*ln2*z*e^s with s = W0((lambda/z - 1)/e) + 1;
-    eliminating z gives s = a + W0(-e^-a), a = 1 + D*ln2*lambda/u, and
-    z = u*e^-s/(D*ln2). That equals lambda/(1 + (s-1)*e^s) but neither
-    overflows nor cancels near a -> 1. If its power (e^s - 1)*z exceeds
-    p_max the cap binds instead, and z = p_max/expm1(D*ln2*(lambda + p_max)/u).
-    Near a -> 1 the Lambert residual leaves too much error in s, so Newton
-    steps on the schedule's cost polish z.
+    Off the cap v = D*ln2*z*e^s with s = D*ln2/t the schedule's rate;
+    eliminating z leaves s + expm1(-s) = b, b = D*ln2*lambda/u, which
+    ``kernel.rate_of_value`` solves by Halley steps to within 4 ulps (W0
+    would give s = a + W0(-e^-a), a = 1 + b, with a cancellation next to
+    the branch point). Then z = u*e^-s/(D*ln2), unless the power
+    -expm1(-s)*u/(D*ln2) exceeds p_max; the cap binds then, and
+    z = p_max/expm1(D*ln2*(lambda + p_max)/u). z is within 3*(1 + r)*2^-52
+    of the exact inverse, relative, where r is the rate (s, or the cap's
+    D*ln2*(lambda + p_max)/u): the inputs' own rounding moves z by about
+    r*2^-52. value_of_z(z) then meets u to about 1e-12, the limit of its
+    own Lambert tolerance.
 
-    Raises ValueError when no positive finite z has value u, and
-    ConvergenceError when the schedule cannot resolve u.
+    Where b underflows, s = 0 takes the cap, as value_of_z does wherever
+    lambda/z underflows. Raises ValueError when z is not a positive normal
+    double, and ConvergenceError where value_of_z cannot resolve u: the
+    schedule at z has a rate D*ln2/t below the normal doubles or a duration
+    that overflows, or b underflows although lambda/z does not and the cap
+    does not bind. Both name u.
     """
     if not 0.0 < u < math.inf:
         raise ValueError(f"value must be strictly positive and finite, got {u!r}")
     d, lam, p_max = params.d_bits_per_hz, params.lambda_w, params.p_max_w
     k = d * _LN2
-    a = 1.0 + k * lam / u
-    s = a + kernel.lambert_w0(-math.exp(-a))
-    z = u * math.exp(-s) / k
-    if not (s > 0.0 and -math.expm1(-s) * u / k <= p_max):
-        x = k * (lam + p_max) / u
-        z = p_max * math.exp(-x) / -math.expm1(-x) if x > 0.0 else math.inf
-    if not 0.0 < z < math.inf:
-        raise ValueError(f"no positive finite effective channel has value {u!r}")
-    tol_f = max(DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol * u)
-    for _ in range(DEFAULT_TOL.max_iter):
-        try:
-            t, p, c, active = kernel.schedule(z, d, lam, p_max)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"cannot resolve value {u!r}: {exc}") from None
-        if abs(c - u) <= tol_f:
-            return z
-        # dv/dz: the envelope derivative t*(2^(D/t) - 1) off the cap;
-        # on it t = D*ln2/log1p(p_max/z) moves with z.
-        if active:
-            slope = c * p_max / (z * (z + p_max) * math.log1p(p_max / z))
-        else:
-            slope = t * p / z
-        z_next = z - (c - u) / slope
-        z = z_next if z_next > 0.0 else 0.5 * z
-    raise ConvergenceError(
-        f"cannot resolve value {u!r} to tolerance in {DEFAULT_TOL.max_iter} steps"
-    )
+    b = k * lam / u
+    s = kernel.rate_of_value(b)
+    if s > 0.0 and -math.expm1(-s) * u / k <= p_max:
+        num, rate, den = u, s, k
+    else:
+        rate = k * (lam + p_max) / u
+        num, den = p_max, -math.expm1(-rate)
+    z = num * math.exp(-rate) / den if den > 0.0 else math.inf
+    if not _TINY <= z < math.inf and den > 0.0:
+        # A factor left the doubles on the way; its logarithm does not.
+        log_z = math.log(num) - rate - math.log(den)
+        z = math.exp(log_z) if log_z < _LOG_HUGE else math.inf
+    if not _TINY <= z < math.inf:
+        raise ValueError(f"no effective channel in the normal doubles has value {u!r}")
+    if b == 0.0 and lam / z > 0.0 and 2.0 * math.log(p_max) >= math.log(2.0 * lam) + math.log(u) - math.log(k):
+        # b underflows to s = 0, which takes the cap. So does value_of_z
+        # wherever lambda/z underflows, but not at this z, and the interior
+        # power s*u/k = sqrt(2*lambda*u/k), compared in logs, is within it.
+        raise ConvergenceError(f"cannot resolve value {u!r}: D*ln2*lambda/u underflows")
+    if not rate >= _TINY:
+        raise ConvergenceError(f"cannot resolve value {u!r}: its schedule's rate D*ln2/t = {rate!r} underflows")
+    if not k / rate < math.inf:
+        raise ConvergenceError(f"cannot resolve value {u!r}: its schedule's duration overflows")
+    return z
 
 
 def _check_z(z: float) -> None:

@@ -1,9 +1,27 @@
 import json
+import os
 
 import pytest
+from hypothesis import settings
 
 from relayauction import ScenarioInstance, SystemParams
 from relayauction.verify import witness_instance
+
+# Tier-1 runs each property on a fixed sequence of examples, so a failure
+# reproduces on every run. HYPOTHESIS_PROFILE=deep draws fresh examples, 100
+# times as many, for a change to the numerics:
+#   HYPOTHESIS_PROFILE=deep python -m pytest tests/test_schedule.py
+# A property states its tier-1 count as examples(n).
+DEEP_FACTOR = 100
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("deep", max_examples=DEEP_FACTOR * settings.default.max_examples, database=None)
+settings.load_profile(PROFILE)
+
+
+def examples(n: int) -> int:
+    """A property's example count: n in tier-1, DEEP_FACTOR times n in deep."""
+    return DEEP_FACTOR * n if PROFILE == "deep" else n
 
 
 @pytest.fixture

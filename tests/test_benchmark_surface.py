@@ -72,10 +72,9 @@ def test_traced_mspoa_candidate_win_calls_what_game_fuzz_counts():
 
 
 def test_traced_mspoa_cap_bound_win_still_makes_the_counted_calls():
-    # The kernel decides a clearly capped schedule without solving Lambert W,
-    # but a cap-bound candidate win must still call z_of_value and
-    # optimal_schedule once each, and z_of_value still solves once, so
-    # game-fuzz's counts stay positive.
+    # A cap-bound candidate win still calls z_of_value and optimal_schedule
+    # once each, but solves no Lambert W: the inversion solves its own rate
+    # equation, and the kernel decides a clearly capped schedule unsolved.
     from dataclasses import replace
 
     import numpy as np
@@ -91,7 +90,7 @@ def test_traced_mspoa_cap_bound_win_still_makes_the_counted_calls():
     assert out.winner == 1 and out.payment_p_w == params.p_max_w
     assert tracer.calls["schedule.z_of_value"] == 1
     assert tracer.calls["schedule.optimal_schedule"] == 1
-    assert tracer.calls["numerics.lambert_w0"] >= 1
+    assert tracer.calls["numerics.lambert_w0"] == 0
 
 
 def test_traced_sweep_samples_each_trial_once():

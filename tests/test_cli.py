@@ -198,17 +198,17 @@ class TestHumanLines:
             "winner               = 1",
             "runner_up            = 2",
             "payment_t_s          = 7.219916052495112",
-            "payment_p_w          = 2.3110704070033896",
-            "source_cost_ws       = 23.905650382465296",
-            "winner_net_energy_j  = 8.34286716498509",
+            "payment_p_w          = 2.31107040700339",
+            "source_cost_ws       = 23.9056503824653",
+            "winner_net_energy_j  = 8.342867164985094",
             "winner_relay_p_w     = 0.8666514026262713",
             "winner_relay_feasible = True",
         ]
         assert json.loads(out[-1]) == {
             "format": "relayauction/auction-outcome", "version": 1, "mechanism": "mspoa",
             "winner": 1, "runner_up": 2, "payment_t_s": 7.219916052495112,
-            "payment_p_w": 2.3110704070033896, "source_cost_ws": 23.905650382465296,
-            "winner_net_energy_j": 8.34286716498509, "winner_relay_p_w": 0.8666514026262713,
+            "payment_p_w": 2.31107040700339, "source_cost_ws": 23.9056503824653,
+            "winner_net_energy_j": 8.342867164985094, "winner_relay_p_w": 0.8666514026262713,
             "winner_relay_feasible": True,
         }
 

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
+
 from relayauction import (
     AuctionOutcome,
     Bid,
@@ -460,7 +462,7 @@ class TestExtremeChannels:
         log_lam=st.floats(-6.0, 6.0),
         log_pmax=st.floats(-6.0, 6.0),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     def test_finite_outcome_or_an_error(
         self, n, log_z0, log_z, log_h_i, log_h_si, log_alpha_tilde, log_lam, log_pmax
     ):
@@ -586,7 +588,7 @@ class TestSettle:
         log_pmax=st.floats(-2.0, 2.0),
         data=st.data(),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_matches_the_scalar_mechanisms(self, n, rows, log_lam, log_pmax, data):
         params = SystemParams(lambda_w=10.0**log_lam, p_max_w=10.0**log_pmax)
         log_z = st.lists(st.floats(-6.0, 6.0), min_size=rows * (n + 1), max_size=rows * (n + 1))
@@ -687,7 +689,7 @@ class TestOnePassWinnerRule:
         over_cap=st.integers(0, 30),
         stranger=st.integers(0, 30),
     )
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=examples(400), deadline=None)
     def test_matches_the_sort(self, n, data, lam, over_cap, stranger):
         params = SystemParams(lambda_w=lam, p_max_w=1.0)
         inst = _instance(n)
@@ -761,7 +763,7 @@ class TestOutcomeBuilder:
         log_z=-6.0, log_h_i=0.0, log_alpha=0.0, log_lam=0.0, log_pmax=0.0,
         source_wins=False, own_schedule=False, log_t=-2.11, p_frac=0.5,
     )
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=examples(500), deadline=None)
     def test_matches_two_evaluations(
         self, log_z, log_h_i, log_alpha, log_lam, log_pmax, source_wins, own_schedule, log_t, p_frac
     ):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
+
 from relayauction import (
     ChannelConfig,
     GeometryConfig,
@@ -342,7 +344,7 @@ class TestTrialStreams:
         with pytest.raises((ValueError, TypeError)):
             next(trial_streams(*args))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(
         st.integers(0, 2**64 - 1),
         st.one_of(st.integers(1, 16), st.integers(1, 2**40)),

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
+
 from relayauction.kernel import lambert_w0
 from relayauction.numerics import (
     ConvergenceError,
@@ -92,7 +94,7 @@ class TestMinimizeUnimodal:
             minimize_unimodal(lambda x: x * x, 2.0, 2.0)
 
     @given(m=st.floats(-50.0, 50.0), half=st.floats(0.1, 40.0))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_recovers_quadratic_minimizer(self, m, half):
         x, _ = minimize_unimodal(lambda x: (x - m) ** 2, m - half, m + 2.0 * half)
         assert abs(x - m) <= 1e-7 * (1.0 + abs(m))
@@ -134,7 +136,7 @@ class TestSolveIncreasing:
         x0=st.floats(0.05, 5.0),
         hint=st.floats(0.05, 5.0),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_round_trip_on_monotone_family(self, a, b, x0, hint):
         f = lambda x: a * x + b * x**3
         tol = ToleranceSpec(abs_tol=1e-14, rel_tol=1e-12, max_iter=300)

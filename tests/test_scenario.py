@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import examples
+
 from relayauction import (
     ChannelConfig,
     GeometryConfig,
@@ -278,7 +280,7 @@ def _positions(n, geom, rng):
 class TestScalarReference:
     """sample_instance against the scalar sampler it replaced."""
 
-    @settings(max_examples=90, deadline=None)
+    @settings(max_examples=examples(90), deadline=None)
     @given(
         st.sampled_from([GeometryConfig(), MOSTLY_BLOCKED, EXHAUSTED]),
         st.integers(1, 8),
@@ -296,7 +298,7 @@ class TestScalarReference:
             b = _reference_sample_candidates(1 + seed % 8, geom, np.random.default_rng(seed))
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(_scenarios(), st.integers(1, 8), st.integers(0, 2**32))
     def test_build_instance_is_the_reference_one(self, scenario, n, seed):
         geom, chan, params = scenario
@@ -502,7 +504,7 @@ class TestInstances:
             assert (a.h_s, a.z0_w) == (b.h_s, b.z0_w)
             assert a_rng.random() == b_rng.random()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(_scenarios(), st.integers(1, 12), st.integers(0, 2**32))
     def test_matches_the_numpy_reference_bit_for_bit(self, scenario, n, seed):
         geom, chan, params = scenario

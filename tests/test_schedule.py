@@ -1,10 +1,14 @@
 import math
 import re
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import examples
 
 from relayauction import (
     ConvergenceError,
@@ -150,7 +154,7 @@ class TestOptimalSchedule:
         log_pmax=st.floats(-6.0, 6.0),
         log_d=st.floats(-2.0, 3.0),
     )
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=examples(500), deadline=None)
     def test_whole_range_is_optimal_or_an_error(self, log_z, log_lam, log_pmax, log_d):
         # The 1e-12 slack is rounding: at lambda/z ~ 1e-300 a 1e-4 step in t
         # moves the cost by far less than one ulp.
@@ -309,7 +313,7 @@ class TestCapBeforeSolve:
         log_pmax=st.floats(-3.0, 6.0),
         log_d=st.floats(-1.0, 2.0),
     )
-    @settings(max_examples=2000, deadline=None)
+    @settings(max_examples=examples(2000), deadline=None)
     def test_whole_range_is_the_reference(self, log_z, log_lam, log_pmax, log_d):
         args = (10.0**log_z, 10.0**log_d, 10.0**log_lam, 10.0**log_pmax)
         assert _tuple_or_error(kernel.schedule, *args) == _tuple_or_error(_reference_schedule, *args)
@@ -319,7 +323,7 @@ class TestCapBeforeSolve:
         log_pmax=st.floats(-3.0, 6.0),
         log_d=st.floats(-1.0, 2.0),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_cap_boundary_band_is_the_reference(self, log_lam, log_pmax, log_d):
         # About where the cap flag turns on, and about where the duration
         # becomes the cap's, which the tie puts about 1e-12 further in.
@@ -392,7 +396,7 @@ class TestArrayKernel:
         log_pmax=st.floats(-2.0, 3.0),
         log_d=st.floats(-1.0, 2.0),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     def test_matches_the_scalar_kernel(self, log_z, log_lam, log_pmax, log_d):
         params = SystemParams(d_bits_per_hz=10.0**log_d, lambda_w=10.0**log_lam, p_max_w=10.0**log_pmax)
         zs = 10.0 ** np.array(log_z)
@@ -487,26 +491,12 @@ class TestClosedFormInverse:
         u_kink = value_of_z(_kink_z(params), params)
         assert 8.0 * LN2 * params.lambda_w / u_kink < 1e-7
 
-    @pytest.mark.parametrize("rel", [-0.1, 0.1])
-    def test_polish_recovers_from_a_perturbed_lambert_value(self, monkeypatch, rel):
-        # A Lambert value 10 percent off lands the first guess on the wrong
-        # side of the kink for some u; Newton steps on either branch fix it.
-        from relayauction import kernel
-
-        exact = kernel.lambert_w0
-        monkeypatch.setattr(kernel, "lambert_w0", lambda x, *tol: exact(x, *tol) * (1.0 + rel))
-        for params in (SystemParams(lambda_w=0.1, p_max_w=1.0), SystemParams(lambda_w=10.0, p_max_w=1.0)):
-            zk = _kink_z(params)
-            for f in np.logspace(-3.0, 3.0, 25):
-                u = value_of_z(zk * float(f), params)
-                assert _within_contract(z_of_value(u, params), u, params)
-
     @given(
         log_u=st.floats(-300.0, 300.0),
         lam=st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0]),
         p_max=st.sampled_from([1.0, 10.0, 100.0]),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     def test_whole_range_meets_contract_or_names_the_value(self, log_u, lam, p_max):
         params = SystemParams(lambda_w=lam, p_max_w=p_max)
         u = 10.0 ** log_u
@@ -523,22 +513,168 @@ class TestClosedFormInverse:
         with pytest.raises(ValueError, match=re.escape(repr(u))):
             z_of_value(u, params10)
 
-    def test_schedule_failure_inside_the_polish_names_the_value(self):
-        # The Newton polish steps onto a channel whose capped schedule overflows.
-        params = SystemParams(lambda_w=1e-6, p_max_w=1e-6)
-        with pytest.raises(ConvergenceError, match=r"^cannot resolve value 1e\+306: no finite schedule for z="):
-            z_of_value(1e306, params)
-
-    def test_polish_out_of_steps_names_the_value(self):
-        params = SystemParams(p_max_w=1e-300, d_bits_per_hz=1e-300)
-        with pytest.raises(ConvergenceError) as err:
-            z_of_value(1e16, params)
-        assert str(err.value) == "cannot resolve value 1e+16 to tolerance in 200 steps"
-
     def test_huge_value_binds_the_cap(self, params10):
         z = z_of_value(1e300, params10)
         assert optimal_schedule(z, params10).constraint_active
         assert _within_contract(z, 1e300, params10)
+
+
+EXTREMES = (1e-300, 1e-6, 1.0, 100.0, 1e300)
+
+
+class TestInverseContract:
+    """z_of_value on every corner of the parameter space: a z that meets its
+    contract, or a ValueError or ConvergenceError that names the value."""
+
+    @pytest.mark.parametrize("d", [1e-300, 1e-3, 8.0, 1e6, 1e300])
+    def test_extreme_grid_meets_contract_or_names_the_value(self, d):
+        us = [float(u) for u in np.logspace(-320.0, 308.0, 400)]
+        for lam in EXTREMES:
+            for p_max in EXTREMES:
+                params = SystemParams(lambda_w=lam, p_max_w=p_max, d_bits_per_hz=d)
+                for u in us:
+                    try:
+                        z = z_of_value(u, params)
+                    except (ValueError, ConvergenceError) as exc:
+                        assert repr(u) in str(exc), (lam, p_max, u)
+                    else:
+                        assert _within_contract(z, u, params), (lam, p_max, u)
+
+    @pytest.mark.parametrize(
+        "u, params, message",
+        [
+            # value_of_z cannot resolve these: the rate D*ln2/t of the schedule
+            # underflows, or its duration overflows.
+            (70733322796439.75, SystemParams(p_max_w=1e-6, d_bits_per_hz=1e-300),
+             "cannot resolve value 70733322796439.75: its schedule's rate D*ln2/t = 9.79945302e-315 underflows"),
+            (1e306, SystemParams(lambda_w=1e-6, p_max_w=1e-6),
+             "cannot resolve value 1e+306: its schedule's rate D*ln2/t = 1.109035488896e-311 underflows"),
+            (1e16, SystemParams(p_max_w=1e-300, d_bits_per_hz=1e-300),
+             "cannot resolve value 1e+16: its schedule's rate D*ln2/t = 6.9314717e-317 underflows"),
+            (1e300, SystemParams(lambda_w=1e-300, p_max_w=1e-300, d_bits_per_hz=1e300),
+             "cannot resolve value 1e+300: its schedule's duration overflows"),
+        ],
+        ids=["subnormal-cap-rate", "subnormal-cap-rate-and-overflowing-duration", "subnormal-cap-rate-at-tiny-d",
+             "overflowing-duration"],
+    )
+    def test_unresolvable_value_is_a_convergence_error(self, u, params, message):
+        with pytest.raises(ConvergenceError) as err:
+            z_of_value(u, params)
+        assert str(err.value) == message
+
+    def test_value_whose_rate_equation_underflows_takes_the_cap_like_value_of_z(self):
+        # D*ln2*lambda/u underflows to 0 and s with it, so the cap's z is
+        # taken. value_of_z takes the cap there too, since lambda/z
+        # underflows at that z, and gives u back.
+        params = SystemParams(lambda_w=1e-300, p_max_w=1e-6, d_bits_per_hz=8.0)
+        u = 8.656520431289855e178
+        assert 8.0 * LN2 * params.lambda_w / u == 0.0
+        z = z_of_value(u, params)
+        assert params.lambda_w / z == 0.0
+        assert optimal_schedule(z, params).constraint_active
+        assert _within_contract(z, u, params)
+
+    def test_capped_value_whose_rate_equation_underflows_is_solved(self):
+        params = SystemParams(lambda_w=1e-300, p_max_w=1e-280, d_bits_per_hz=8.0)
+        u = 1e26
+        assert 8.0 * LN2 * params.lambda_w / u == 0.0
+        z = z_of_value(u, params)
+        assert optimal_schedule(z, params).constraint_active
+        assert _within_contract(z, u, params)
+
+    def test_interior_value_whose_rate_equation_underflows_is_unresolvable(self):
+        # D*ln2*lambda/u underflows, but lambda/z does not at the cap's z,
+        # and the interior power (0.044 W) is far within the cap: no z gives
+        # u back through value_of_z.
+        params = SystemParams(lambda_w=1e-300, p_max_w=1e300, d_bits_per_hz=1e-3)
+        with pytest.raises(ConvergenceError) as err:
+            z_of_value(6.832607387157713e293, params)
+        assert str(err.value) == "cannot resolve value 6.832607387157713e+293: D*ln2*lambda/u underflows"
+
+    @pytest.mark.parametrize("log_z", [-138.0, -200.0, -280.0])
+    def test_channel_past_an_underflowing_factor_is_found(self, log_z):
+        # e^-s underflows on the way to a z that is a normal double.
+        params = SystemParams(lambda_w=1e300, p_max_w=1e300)
+        z0 = 10.0**log_z
+        u = value_of_z(z0, params)
+        assert math.exp(-(8.0 * LN2 * params.lambda_w / u)) == 0.0
+        assert z_of_value(u, params) == pytest.approx(z0, rel=1e-12)
+
+
+EPS = 2.0**-52
+
+
+def _reference_rate(b):
+    # s = a + W0(-e^-a) with a = 1 + b, at 50 digits more than a loses of b.
+    b = mp.mpf(b)
+    extra = max(0, -int(mp.floor(mp.log10(b)))) if b < 1 else 0
+    with mp.workdps(50 + extra):
+        a = 1 + b
+        return +(a + mp.lambertw(-mp.exp(-a)))
+
+
+def _reference_inverse(u, params):
+    """The exact inverse of u at 50 digits, and its rate: s off the cap, the
+    cap's x = D*ln2*(lambda + p_max)/u on it."""
+    with mp.workdps(50):
+        d, lam, p_max, u = (mp.mpf(v) for v in (params.d_bits_per_hz, params.lambda_w, params.p_max_w, u))
+        k = d * mp.log(2)
+        s = _reference_rate(k * lam / u)
+        if s > 0 and -mp.expm1(-s) * u / k <= p_max:
+            return u * mp.exp(-s) / k, s
+        x = k * (lam + p_max) / u
+        return p_max / mp.expm1(x), x
+
+
+class TestInverseAgainstMpmath:
+    """z_of_value against a 50-digit reference of the exact inverse.
+
+    The bound on z is 3*(1 + r) units of 2^-52, relative, with r the rate
+    (s or x): the inputs' rounding moves b or x by about r*2^-52, which e^-r
+    passes on to z, and the solve adds a few ulps. Measured: 1.3*(1 + r).
+    """
+
+    def _check(self, u, params):
+        z_ref, rate = _reference_inverse(u, params)
+        z = z_of_value(u, params)
+        assert abs(z - z_ref) <= 3.0 * (1.0 + rate) * EPS * z_ref, (u, z, z_ref)
+        return abs(value_of_z(z, params) - u) / u
+
+    @pytest.mark.parametrize("params", ORACLE_GRID, ids=lambda p: f"lam{p.lambda_w}-pmax{p.p_max_w}")
+    def test_oracle_grid_and_kink_bands(self, params):
+        zk = _kink_z(params)
+        zs = [float(z) for z in np.logspace(-6.0, 6.0, 41)]
+        zs += [zk * (1.0 + sgn * 10.0**e) for sgn in (-1.0, 1.0) for e in range(-12, -2)]
+        residual = max(self._check(value_of_z(z, params), params) for z in zs)
+        # value_of_z's own Lambert tolerance sets this, near the branch point;
+        # the contract allows 1e-10. Measured: 9.9e-13.
+        assert residual <= 2e-12
+
+    def test_rate_equation_from_1e_minus_300_to_1e300(self):
+        # b = D*ln2*lambda/u across its range with the cap out of reach; z
+        # leaves the normal doubles for b above about 700, and a ValueError
+        # must say so.
+        params = SystemParams(lambda_w=1.0, p_max_w=1e300)
+        residual = 0.0
+        for b in np.logspace(-300.0, 300.0, 241):
+            u = 8.0 * LN2 / float(b)
+            z_ref, _ = _reference_inverse(u, params)
+            if z_ref < sys.float_info.min:
+                with pytest.raises(ValueError, match=re.escape(repr(u))):
+                    z_of_value(u, params)
+            else:
+                residual = max(residual, self._check(u, params))
+        assert residual <= 1e-15
+
+    def test_rate_within_four_ulps(self):
+        # Dense about the guesses' switch at 1.2, the series' end at s = 0.25
+        # (b = 0.029), and the unrefined ends below 1e-10 and above 20.
+        bs = [float(b) for b in np.logspace(-300.0, 300.0, 601)]
+        bs += [float(b) for b in np.linspace(1e-10, 30.0, 2000)]
+        bs += [float(b) for b in np.logspace(-12.0, -8.0, 100)]
+        for b in bs:
+            s = kernel.rate_of_value(b)
+            assert abs(s - _reference_rate(b)) <= 4.0 * math.ulp(s), b
 
 
 class TestMinTotalPower:
