@@ -8,9 +8,9 @@ dataclass's own ``ValueError`` included. It also takes numpy numbers and
 arrays, which JSON never holds, as plain Python values. ``check_fields``
 applies the same rule to a dataclass instance's own fields, so the config
 dataclasses' constructors type their arguments as the reader does;
-``plain`` is the records' cheaper type test.
-``write`` is the inverse: fields as JSON values, tuples and arrays as
-lists, non-finite floats as null.
+``plain`` is the records' cheaper type test, and ``frozen_record`` makes
+the records' classes. ``write`` is the inverse: fields as JSON values,
+tuples and arrays as lists, non-finite floats as null.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import numbers
 import sys
 import typing
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -143,6 +143,36 @@ def plain(hint, val, where: str):
     elif isinstance(val, float) or is_finite_number(val):
         return float(val)
     raise ValueError(f"{where} must be {_describe(hint)}, got {val!r}")
+
+
+def frozen_record(cls):
+    """``dataclass(frozen=True, slots=True)`` applied to ``cls``, with the
+    generated ``__init__`` swapped for one that stores each field through
+    its slot descriptor's ``__set__``, bound once here, where the
+    dataclass's calls ``object.__setattr__`` by name. Parameters, defaults
+    and the ``__post_init__`` call are the dataclass's; frozen assignment,
+    eq, hash, repr, pickle, ``replace`` and ``__match_args__`` are left as
+    the dataclass makes them. A field takes a plain default or none."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    env, params, body = {}, [], []
+    for f in fields(cls):
+        if not f.init or f.kw_only or f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: a record field takes a plain default or none")
+        env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        body.append(f"    _set_{f.name}(self, {f.name})")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in fields(cls)}, "return": None}
+    cls.__init__ = init
+    return cls
 
 
 def read_record(cls, record, format: str, version: int):

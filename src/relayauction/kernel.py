@@ -133,7 +133,8 @@ def schedule(z, d, lam, p_max):
     Returns ``(t, p, cost, active)`` where active is True when the power cap
     binds (ties within rel CAP_TIE_REL count as active). Raises
     ScheduleOverflow when the cost is not finite, i.e. the cap duration
-    overflows for huge z.
+    overflows for huge z, and ConvergenceError when the duration underflows
+    to 0 (d near the least double).
 
     The cap is decided before Lambert W is solved. The interior duration is
     d*ln2/(w + 1) with w = W0(x), x = (r - 1)/e, r = lam/z, and the cap's is
@@ -171,6 +172,8 @@ def schedule(z, d, lam, p_max):
     c = t * (lam + p)
     if not math.isfinite(c):
         raise ScheduleOverflow(f"no finite schedule for z={z!r}")
+    if not t > 0.0:
+        raise ConvergenceError(f"the schedule's duration for z={z!r} underflows to 0")
     return t, p, c, active
 
 

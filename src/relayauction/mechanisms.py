@@ -23,17 +23,22 @@ optimization.
 ``settle`` is the same winner rule and the same payments over a batch of
 auctions at once, as arrays, for the sweep and the deviation fuzzes; the
 scalar rules are its reference.
+
+A single auction builds records at every step (bids, the profile, the
+outcome, and under MSPOA the paid ``ScheduleSolution``), so they are
+``jsonio.frozen_record`` classes, whose constructor costs 50-75 % of the
+dataclass's. A candidate win's outcome takes 2^(D/t) - 1 once for
+both the break-even and the relay power.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import MaybeInf, plain, read_record, write
-from .kernel import CAP_TIE_REL, ScheduleOverflow, min_power, min_powers
+from .jsonio import MaybeInf, frozen_record, plain, read_record, write
+from .kernel import _LN2, CAP_TIE_REL, ScheduleOverflow, min_power, min_powers
 from .numerics import ConvergenceError
 from .scenario import ScenarioInstance
 from .schedule import (
@@ -51,7 +56,7 @@ RECORD_VERSION = 1
 SOURCE = 0  # bidder index of the source's reservation bid
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Bid:
     """A (duration, total source power) offer from bidder `bidder`.
 
@@ -75,7 +80,7 @@ class Bid:
             raise ValueError("bidder index must be non-negative")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class StrategyProfile:
     """All submitted bids: exactly one reservation bid plus the candidates'."""
 
@@ -90,7 +95,7 @@ class StrategyProfile:
             raise ValueError("bidder indices must be unique")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class AuctionOutcome:
     """Winner, payment schedule, and the resulting energies.
 
@@ -203,17 +208,38 @@ def _winner_and_runner(
 def _outcome(
     best: Bid, runner: Bid, t: float, p: float, cost: float, inst: ScenarioInstance, params: SystemParams
 ) -> AuctionOutcome:
-    """The winner `best` paid (t, p) at source cost `cost`."""
+    """The winner `best` paid (t, p) at source cost `cost`.
+
+    A winning candidate's net energy is ``_net_energy``'s, and its relay
+    power is the candidate's own retransmission power (2^(D/t)-1)*sigma2/h_i
+    at the payment duration, reported so cap violations are visible
+    downstream; one 2^(D/t) - 1 gives both powers, and where it overflows
+    ``min_power`` takes each. A relay power beyond the largest double is
+    reported as inf, i.e. infeasible.
+    """
     if best.bidder == SOURCE:
         return AuctionOutcome(SOURCE, runner.bidder, t, p, cost, 0.0)
-    # The candidate's own retransmission power (2^(D/t)-1)*sigma2/h_i at the
-    # payment duration, reported so cap violations are visible downstream.
-    # A power beyond the largest double is reported as inf, i.e. infeasible.
-    z_relay = params.sigma2_w / float(inst.h_i[best.bidder - 1])
+    i = best.bidder - 1
+    z_relay = params.sigma2_w / inst.h_i.item(i)
     if z_relay < math.inf:
         _check_z(z_relay)  # sigma2/h_i may underflow to 0
-    net = _net_energy(t, p, best.bidder, inst, params)
-    relay_p = min_power(t, z_relay, params.d_bits_per_hz) if z_relay < math.inf else math.inf
+    # min_total_power's checks, in its order.
+    if not t > 0.0:
+        raise ValueError(f"duration must be strictly positive, got {t!r}")
+    z_w = inst.z_w.item(i)
+    _check_z(z_w)
+    d = params.d_bits_per_hz
+    try:
+        rate_power = math.expm1(d * _LN2 / t)  # min_power's own expression
+    except OverflowError:
+        p_even = min_power(t, z_w, d)
+        relay_p = min_power(t, z_relay, d) if z_relay < math.inf else math.inf
+    else:
+        p_even = rate_power * z_w
+        relay_p = rate_power * z_relay if z_relay < math.inf else math.inf
+    net = _gain(t, inst.alpha_tilde.item(i), p, p_even)
+    if not math.isfinite(net):
+        raise ConvergenceError(f"winner {best.bidder}'s net energy overflows a double")
     return AuctionOutcome(best.bidder, runner.bidder, t, p, cost, net, relay_p, relay_p <= params.p_max_w)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .jsonio import check_fields
+from .jsonio import check_fields, frozen_record
 from .kernel import _LN2
 from .numerics import ConvergenceError
 
@@ -58,7 +58,7 @@ class SystemParams:
             raise ValueError("; ".join(problems))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ScheduleSolution:
     """Optimal (duration, power) pair for one effective channel.
 
@@ -95,7 +95,8 @@ def optimal_schedule(z: float, params: SystemParams) -> ScheduleSolution:
     The unconstrained optimum is D*ln2 / (W0((lambda/z - 1)/e) + 1); the cap
     branch D*ln2 / log1p(p_max/z) takes over for bad channels. Uniqueness
     follows from convexity. Raises ScheduleOverflow, a ConvergenceError, when
-    the cost overflows a double.
+    the cost overflows a double, and ConvergenceError when the duration
+    underflows to 0.
     """
     _check_z(z)
     return ScheduleSolution(*kernel.schedule(z, params.d_bits_per_hz, params.lambda_w, params.p_max_w))

@@ -1,0 +1,135 @@
+"""``relayauction solve`` and ``auction`` on any number a user can type.
+
+``cli.main`` runs in process on system flags and instance-record fields
+drawn log-uniformly over the positive doubles, 5e-324 to 1.8e308, their
+negatives, the two ends themselves, and 0, -0, nan and inf. Whatever the input, ``main`` returns 0, 1 (a
+config error) or 2 (a numerical failure) and nothing escapes. On 0 the last
+line is a strict JSON record. ``solve``'s cost is what its own duration
+costs, and it is no higher than the golden-section oracle's
+(``verify.oracle_schedule_cost``) wherever that oracle returns a finite
+cost.
+"""
+
+import contextlib
+import io
+import json
+import math
+import sys
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import examples
+
+from relayauction import ConvergenceError, SystemParams
+from relayauction.cli import main
+from relayauction.config import DEFAULT_CONFIG
+from relayauction.montecarlo import MECHANISMS
+from relayauction.schedule import cost_function
+from relayauction.verify import oracle_schedule_cost, witness_instance
+
+SYSTEM_FLAGS = tuple(DEFAULT_CONFIG["system"])
+
+# 10**-323.3 is the least subnormal, 5e-324, and 10**308.25 = 1.78e308.
+positive = st.one_of(st.floats(-323.3, 308.25).map(lambda e: 10.0**e), st.sampled_from([5e-324, sys.float_info.max]))
+invalid = st.one_of(positive.map(lambda v: -v), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+# One number in five is invalid, so that most examples get past the checks.
+number = st.integers(0, 4).flatmap(lambda k: invalid if k == 0 else positive)
+# A system flag is left at its default or given any number.
+system = st.fixed_dictionaries({name: st.one_of(st.none(), number) for name in SYSTEM_FLAGS})
+
+
+def _flags(values: dict) -> list[str]:
+    # --name=value, so that argparse reads -inf or -1e-5 as the value.
+    return [f"--{name.replace('_', '-')}={v!r}" for name, v in values.items() if v is not None]
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    return code, out.getvalue()
+
+
+def _strict_record(stdout: str) -> dict:
+    def no_constant(name):
+        raise ValueError(f"{name} in the record")
+
+    return json.loads(stdout.splitlines()[-1], parse_constant=no_constant)
+
+
+def _params(values: dict) -> SystemParams:
+    return SystemParams(**{k: v for k, v in values.items() if v is not None})
+
+
+def _oracle(z: float, params: SystemParams) -> float:
+    try:
+        return oracle_schedule_cost(z, params)
+    except (ArithmeticError, ValueError, ConvergenceError):
+        return math.nan
+
+
+@given(z=number, values=system)
+# At a binding cap with lambda far above p_max the cost is about lambda*t,
+# and the oracle stops 3.2e-9 above the cap's duration: the closed form is
+# that much cheaper. With D = 1e-5 the oracle's absolute tolerance on t,
+# 1e-12, leaves it 1.1e-8 above.
+@example(z=1.0, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 1e-4, "lambda_w": sys.float_info.max})
+@example(z=1.0, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 1e-5})
+# The cap's duration D*ln2/log1p(p_max/z) underflows to 0: exit 2, where a
+# zero-duration schedule costing 0 was reported.
+@example(z=0.1, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 5e-324})
+@settings(max_examples=examples(200), deadline=None)
+def test_solve(z, values):
+    code, stdout = _run(["solve", f"--z={z!r}", *_flags(values)])
+    if code != 0:
+        return
+    record = _strict_record(stdout)
+    params = _params(values)
+    # The cost is its own duration's, and no higher than the oracle's
+    # minimum, which only bounds the true one from above.
+    assert record["cost_ws"] == pytest.approx(cost_function(record["t_star_s"], z, params), rel=1e-12)
+    oracle = _oracle(z, params)
+    if math.isfinite(oracle):
+        assert record["cost_ws"] <= oracle * (1.0 + 1e-12)
+
+
+@pytest.fixture(scope="module")
+def instance_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("surface") / "instance.json"
+
+
+@st.composite
+def instance_records(draw):
+    n = draw(st.integers(1, 3))
+    record = witness_instance()[0].to_record()
+    record["candidate_positions_m"] = [[draw(number), draw(number)] for _ in range(n)]
+    for name in ("h_s", "z0_w"):
+        record[name] = draw(number)
+    for name in ("h_i", "h_si", "alpha_tilde", "z_w"):
+        record[name] = [draw(number) for _ in range(n)]
+    return record
+
+
+@given(record=instance_records(), mechanism=st.sampled_from(MECHANISMS), values=system)
+@settings(max_examples=examples(200), deadline=None)
+def test_auction(instance_file, record, mechanism, values):
+    # json writes nan and inf as NaN and Infinity, which the reader loads.
+    instance_file.write_text(json.dumps(record))
+    code, stdout = _run(["auction", f"--instance={instance_file}", f"--mechanism={mechanism}", *_flags(values)])
+    if code == 0:
+        assert _strict_record(stdout)["mechanism"] == mechanism
+
+
+@given(values=system)
+@settings(max_examples=examples(50), deadline=None)
+def test_auction_on_a_valid_instance(instance_file, values):
+    # The instance is the golden one, so the auction reaches settlement.
+    inst = witness_instance()[0]
+    instance_file.write_text(json.dumps(inst.to_record()))
+    for mechanism in MECHANISMS:
+        code, stdout = _run(["auction", f"--instance={instance_file}", f"--mechanism={mechanism}", *_flags(values)])
+        if code == 0:
+            assert _strict_record(stdout)["winner"] in range(inst.n_candidates + 1)

@@ -1,7 +1,9 @@
 import dataclasses
+import inspect
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from relayauction import (
 )
 from relayauction import mechanisms
 from relayauction.mechanisms import SOURCE, settle
-from relayauction.schedule import optimal_schedules
+from relayauction.schedule import ScheduleSolution, optimal_schedules
 
 LN2 = math.log(2.0)
 
@@ -818,3 +820,75 @@ class TestSlottedRecords:
     def test_records_round_trip(self, records):
         outcome = records[2]
         assert AuctionOutcome.from_record(outcome.to_record()) == outcome
+
+
+def _dataclass_twin(cls):
+    # What dataclass(frozen=True, slots=True) alone makes of the record's
+    # fields and __post_init__: the constructor frozen_record replaces.
+    spec = [
+        (f.name, f.type) if f.default is dataclasses.MISSING else (f.name, f.type, dataclasses.field(default=f.default))
+        for f in dataclasses.fields(cls)
+    ]
+    namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
+    return dataclasses.make_dataclass(cls.__name__, spec, namespace=namespace, frozen=True, slots=True)
+
+
+class TestRecordConstructors:
+    """Each record built by ``jsonio.frozen_record`` takes the arguments of
+    the constructor ``dataclass`` generates, and raises its errors."""
+
+    RECORDS = (Bid, StrategyProfile, AuctionOutcome, ScheduleSolution)
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_signature_is_the_dataclass_one(self, cls):
+        got = inspect.signature(cls.__init__).parameters.values()
+        want = inspect.signature(_dataclass_twin(cls).__init__).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in got] == [(p.name, p.kind, p.default) for p in want]
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+
+    @pytest.mark.parametrize(
+        "cls, args, kwargs",
+        [
+            (Bid, (1.0, 0.5, 1), {}),
+            (Bid, (np.float64(2.0),), {"p_tot_w": np.float32(0.25), "bidder": np.int64(3)}),
+            (StrategyProfile, ([Bid(1.0, 0.5, 0), Bid(2.0, 0.5, 1)],), {}),
+            (AuctionOutcome, (1, 2, 1.0, 0.5, 1.5, 0.1), {}),
+            (AuctionOutcome, (1, 2, 1.0, 0.5, 1.5, 0.1), {"winner_relay_feasible": False}),
+            (ScheduleSolution, (1.0, 0.5, 1.5, True), {}),
+        ],
+    )
+    def test_fields_are_the_dataclass_ones(self, cls, args, kwargs):
+        def typed_fields(rec):
+            return [(type(getattr(rec, f.name)), getattr(rec, f.name)) for f in dataclasses.fields(rec)]
+
+        assert typed_fields(cls(*args, **kwargs)) == typed_fields(_dataclass_twin(cls)(*args, **kwargs))
+
+    @pytest.mark.parametrize(
+        "cls, args",
+        [
+            (Bid, (0.0, 1.0, 1)),
+            (Bid, (1.0, math.inf, 1)),
+            (Bid, (1.0, 0.5, -1)),
+            (Bid, (1.0, 0.5, True)),
+            (Bid, ("1", None, 1.5)),
+            (Bid, (math.nan, 0.5, 1)),
+            (StrategyProfile, ((Bid(1.0, 0.5, 1),),)),
+            (StrategyProfile, ((Bid(1.0, 0.5, 0), Bid(1.0, 0.5, 0)),)),
+            (StrategyProfile, ((Bid(1.0, 0.5, 0), Bid(1.0, 0.5, 1), Bid(2.0, 0.5, 1)),)),
+        ],
+    )
+    def test_errors_are_the_dataclass_ones(self, cls, args):
+        with pytest.raises(ValueError) as want:
+            _dataclass_twin(cls)(*args)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            cls(*args)
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_wrong_arguments_are_type_errors(self, cls):
+        n = len(dataclasses.fields(cls))
+        with pytest.raises(TypeError):
+            cls(*[1.0] * (n + 1))
+        with pytest.raises(TypeError):
+            cls()
+        with pytest.raises(TypeError):
+            cls(*[1.0] * n, no_such_field=1)

@@ -222,6 +222,12 @@ class TestOptimalSchedule:
         with pytest.raises(ConvergenceError, match="no finite schedule"):
             optimal_schedule(1e308, params10)
 
+    @pytest.mark.parametrize("z", [0.1, 1e-300])
+    def test_underflowing_duration_is_a_convergence_error(self, z):
+        # D*ln2/log1p(p_max/z) is below the least double: no zero-duration schedule.
+        with pytest.raises(ConvergenceError, match="duration for z=.* underflows to 0"):
+            optimal_schedule(z, SystemParams(d_bits_per_hz=5e-324))
+
 
 def _reference_schedule(z, d, lam, p_max):
     # kernel.schedule as it stood before it decided the cap ahead of the
