@@ -32,6 +32,8 @@ _E = 2.718281828459045
 _NEG_INV_E = -0.36787944117144233
 _LN2 = 0.6931471805599453
 _INV_E = 0.36787944117144233
+# The least positive normal double.
+_TINY = 2.2250738585072014e-308
 # W0 about its branch point: -1 + p + _SERIES_C2*p^2 + _SERIES_C3*p^3 with
 # p = sqrt(2(e*x + 1)) (Corless et al., "On the Lambert W function", Adv.
 # Comput. Math. 1996). Below -1/e + _SERIES_DX it is the answer, because
@@ -117,6 +119,12 @@ def min_power(t, z, d):
     # expm1 keeps 2^(d/t) - 1 exact at long durations; where 2^(d/t) alone
     # overflows, the 1 is below its last bit and the power is taken in logs.
     a = d * _LN2 / t
+    if a < _TINY:
+        # expm1(a) = a, but a subnormal a has lost its low bits: the power
+        # is d*ln2*z/t. With t at most the largest double, d*ln2 < 4 here,
+        # so where d*ln2*z overflows, z/t is above 1/4 and loses nothing.
+        p = d * _LN2 * z / t
+        return p if p < math.inf else d * _LN2 * (z / t)
     try:
         return math.expm1(a) * z
     except OverflowError:
@@ -252,6 +260,11 @@ def min_powers(t, z, d):
         big = grow == math.inf
         if big.any():
             p = np.where(big, np.exp(a + np.log(z)), p)
+        small = a < _TINY
+        if small.any():
+            k = d * _LN2
+            linear = k * z / t
+            p = np.where(small, np.where(linear < math.inf, linear, k * (z / t)), p)
     return p
 
 
@@ -286,7 +299,8 @@ def schedules(z, d, lam, p_max):
     arrays of z's shape, ``active`` boolean.
 
     A cost that overflows is +inf here rather than an error. Raises
-    ConvergenceError when a Lambert solve exhausts its iteration budget.
+    ConvergenceError when a Lambert solve exhausts its iteration budget,
+    and, as ``schedule`` does, when a duration underflows to 0.
     """
     z = np.asarray(z, float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -307,6 +321,9 @@ def schedules(z, d, lam, p_max):
         active = ~unc | ((t_unc - t_min) <= CAP_TIE_REL * t_unc)
         p = np.where(active, p_max, min_powers(t, z, d))
         c = t * (lam + p)
+    zero = t == 0.0
+    if zero.any():
+        raise ConvergenceError(f"the schedule's duration for z={float(z[zero][0])!r} underflows to 0")
     return t, p, c, active
 
 

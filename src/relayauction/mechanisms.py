@@ -29,6 +29,20 @@ outcome, and under MSPOA the paid ``ScheduleSolution``), so they are
 ``jsonio.frozen_record`` classes, whose constructor costs 50-75 % of the
 dataclass's. A candidate win's outcome takes 2^(D/t) - 1 once for
 both the break-even and the relay power.
+
+MSPOA's payment is a function of the runner-up's score alone, which is why
+truthful bidding is dominant, so an incentive check that re-settles fixed
+opponents under each deviation of one bidder pays the same schedule again
+and again. A ``Bid`` therefore keeps, in one slot that is not a field, the
+payment it last set as runner-up with the ``SystemParams`` object it was
+set under; ``run_mspoa`` reuses it for that same (frozen) object and
+otherwise inverts as before, storing only a payment that succeeded. Eq,
+hash, repr, pickle, copies and ``replace`` do not see the slot. It pays
+off only where one bid object is the runner-up in many auctions: 85 % of
+``perfbench``'s ``game-fuzz`` candidate wins (round 0 at seed 424242: 2,796
+traced ``z_of_value`` calls and 1,710 Lambert solves, against 19,081 and
+11,251), none of the sweeps', whose payments go through ``settle``, which
+builds no ``Bid`` and inverts each distinct score once per batch.
 """
 
 from __future__ import annotations
@@ -38,7 +52,7 @@ import math
 import numpy as np
 
 from .jsonio import MaybeInf, frozen_record, plain, read_record, write
-from .kernel import _LN2, CAP_TIE_REL, ScheduleOverflow, min_power, min_powers
+from .kernel import _LN2, _TINY, CAP_TIE_REL, ScheduleOverflow, min_power, min_powers
 from .numerics import ConvergenceError
 from .scenario import ScenarioInstance
 from .schedule import (
@@ -56,8 +70,16 @@ RECORD_VERSION = 1
 SOURCE = 0  # bidder index of the source's reservation bid
 
 
+class _PaymentSlot:
+    # Bid's one slot that is not a field: the MSPOA payment the bid last set
+    # as runner-up, (params, t, p, cost). A slot, not a field, so eq, hash,
+    # repr, pickle, copy and ``replace`` neither see nor carry it; it is
+    # unset until a payment succeeds.
+    __slots__ = ("_mspoa_payment",)
+
+
 @frozen_record
-class Bid:
+class Bid(_PaymentSlot):
     """A (duration, total source power) offer from bidder `bidder`.
 
     bidder 0 is the source's reservation bid; candidates are 1..n. t_s is
@@ -214,8 +236,8 @@ def _outcome(
     power is the candidate's own retransmission power (2^(D/t)-1)*sigma2/h_i
     at the payment duration, reported so cap violations are visible
     downstream; one 2^(D/t) - 1 gives both powers, and where it overflows
-    ``min_power`` takes each. A relay power beyond the largest double is
-    reported as inf, i.e. infeasible.
+    or the rate D*ln2/t is subnormal ``min_power`` takes each. A relay
+    power beyond the largest double is reported as inf, i.e. infeasible.
     """
     if best.bidder == SOURCE:
         return AuctionOutcome(SOURCE, runner.bidder, t, p, cost, 0.0)
@@ -229,14 +251,17 @@ def _outcome(
     z_w = inst.z_w.item(i)
     _check_z(z_w)
     d = params.d_bits_per_hz
+    rate = d * _LN2 / t  # min_power's own expression
     try:
-        rate_power = math.expm1(d * _LN2 / t)  # min_power's own expression
+        rate_power = math.expm1(rate)
     except OverflowError:
-        p_even = min_power(t, z_w, d)
-        relay_p = min_power(t, z_relay, d) if z_relay < math.inf else math.inf
-    else:
+        rate_power = math.inf
+    if rate >= _TINY and rate_power < math.inf:
         p_even = rate_power * z_w
         relay_p = rate_power * z_relay if z_relay < math.inf else math.inf
+    else:  # a subnormal or overflowing rate: min_power's own rules
+        p_even = min_power(t, z_w, d)
+        relay_p = min_power(t, z_relay, d) if z_relay < math.inf else math.inf
     net = _gain(t, inst.alpha_tilde.item(i), p, p_even)
     if not math.isfinite(net):
         raise ConvergenceError(f"winner {best.bidder}'s net energy overflows a double")
@@ -272,8 +297,15 @@ def run_mspoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemPa
     best, s_best, runner, s_runner = _winner_and_runner(profile, inst, params)
     if best.bidder == SOURCE:
         return _outcome(best, runner, best.t_s, best.p_tot_w, _paid_score(best, s_best), inst, params)
-    sol = optimal_schedule(z_of_value(_paid_score(runner, s_runner), params), params)
-    return _outcome(best, runner, sol.t_star_s, sol.p_star_w, sol.cost_ws, inst, params)
+    # The payment is a function of the runner-up's score alone: a bid that
+    # set one under this same (frozen) params object sets it again.
+    paid = getattr(runner, "_mspoa_payment", None)
+    if paid is None or paid[0] is not params:
+        sol = optimal_schedule(z_of_value(_paid_score(runner, s_runner), params), params)
+        paid = params, sol.t_star_s, sol.p_star_w, sol.cost_ws
+        object.__setattr__(runner, "_mspoa_payment", paid)
+    _, t, p, cost = paid
+    return _outcome(best, runner, t, p, cost, inst, params)
 
 
 def settle(

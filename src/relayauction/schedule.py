@@ -19,11 +19,10 @@ import numpy as np
 
 from . import kernel
 from .jsonio import check_fields, frozen_record
-from .kernel import _LN2
+from .kernel import _LN2, _TINY
 from .numerics import ConvergenceError
 
-# The least positive normal double, and the log of the largest double.
-_TINY = 2.2250738585072014e-308
+# The log of the largest double.
 _LOG_HUGE = 709.782712893384
 
 
@@ -107,8 +106,9 @@ def optimal_schedules(z: np.ndarray, params: SystemParams) -> tuple[np.ndarray, 
     ``(t_star_s, p_star_w, cost_ws, constraint_active)`` of z's shape.
 
     A cost that overflows a double is +inf here rather than an error, and z
-    is not checked. Array calls pay off at a sweep chunk's size; the scalar
-    call is the reference (see ``kernel`` for the agreement bounds).
+    is not checked; a duration that underflows to 0 raises ConvergenceError,
+    as in the scalar call. Array calls pay off at a sweep chunk's size; the
+    scalar call is the reference (see ``kernel`` for the agreement bounds).
     """
     return kernel.schedules(z, params.d_bits_per_hz, params.lambda_w, params.p_max_w)
 

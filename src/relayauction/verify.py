@@ -339,6 +339,52 @@ def check_non_ic_demo() -> CheckResult:
     )
 
 
+def _tie_instance(z0: float, z_w: tuple[float, ...]) -> ScenarioInstance:
+    n = len(z_w)
+    ones = np.ones(n)
+    return ScenarioInstance(
+        candidate_positions_m=np.zeros((n, 2)), h_s=1.0, h_i=ones, h_si=ones, alpha_tilde=ones,
+        z0_w=z0, z_w=np.array(z_w),
+    )
+
+
+def check_tie_break() -> CheckResult:
+    """Exact ties go to the lower bidder index: the source beats a candidate
+    whose truthful bid equals the reservation bid, and the lower of two
+    tied candidates wins with the other as runner-up. Held for the scalar
+    rules in bid order and reversed, and for ``settle``'s winners, over
+    interior and cap-bound schedules. Random bids almost never tie exactly,
+    so the fuzzes cannot see a flipped tie-break."""
+    t0 = time.perf_counter()
+    problems = []
+    cases = 0
+    for lam in (0.1, 1.0, 100.0):
+        for p_max in (1.0, 10.0):
+            params = SystemParams(lambda_w=lam, p_max_w=p_max)
+            for z in (1e-3, 1.0, 1e3):
+                # (z0, candidates' z, the winner and runner-up the rule must pick)
+                for z0, z_w, want in ((z, (z, 2.0 * z), (0, 1)), (4.0 * z, (2.0 * z, z, z), (2, 3))):
+                    cases += 1
+                    inst = _tie_instance(z0, z_w)
+                    bids = truthful_profile(inst, params).bids
+                    where = f"lam={lam} p_max={p_max} z0={z0} z={z_w}"
+                    for order in (bids, bids[::-1]):
+                        profile = StrategyProfile(order)
+                        for rule in (run_spoa, run_mspoa):
+                            out = rule(profile, inst, params)
+                            if (out.winner, out.runner_up) != want:
+                                problems.append(f"{rule.__name__} picked {out.winner, out.runner_up} at {where}")
+                    z_row = np.array([[z0, *z_w]])
+                    t = np.array([[b.t_s for b in bids]])
+                    p = np.array([[b.p_tot_w for b in bids]])
+                    alpha = inst.alpha_tilde[None, :]
+                    winner, _ = settle(("cooperative", "spoa", "mspoa"), t, p, z_row, alpha, params)
+                    if int(winner[0]) != want[0]:
+                        problems.append(f"settle picked {int(winner[0])} at {where}")
+    detail = "; ".join(problems[:3]) if problems else f"{cases} tied profiles settle to the lower bidder index"
+    return _result("tie-break", t0, not problems, detail)
+
+
 def _cell_index(cells):
     return {(c.mechanism, c.n, c.lambda_w): c for c in cells}
 
@@ -450,6 +496,7 @@ def checks_for_level(level: str):
             lambda: check_mspoa_ic_fuzz(instances=100, deviations=40),
             lambda: check_spoa_ne_fuzz(instances=100, deviations=40),
             check_non_ic_demo,
+            check_tie_break,
             lambda: check_reproducibility(trials=40),
         ]
     if level == "full":
@@ -460,6 +507,7 @@ def checks_for_level(level: str):
             check_mspoa_ic_fuzz,
             check_spoa_ne_fuzz,
             check_non_ic_demo,
+            check_tie_break,
             check_trends,
             check_reproducibility,
         ]

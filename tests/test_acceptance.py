@@ -65,3 +65,9 @@ def test_criterion_8_reproducibility():
     # Identical seeds must give byte-identical sweep CSVs across reruns and
     # across worker counts.
     _report(8, verify.check_reproducibility(trials=200))
+
+
+def test_criterion_9_tie_break():
+    # Exact ties go to the lower bidder index: the source beats a candidate
+    # bidding the reservation bid, the lower of two tied candidates wins.
+    _report(9, verify.check_tie_break())

@@ -57,18 +57,24 @@ def test_traced_sweep_calls_what_the_layer_metrics_divide_by():
 def test_traced_mspoa_candidate_win_calls_what_game_fuzz_counts():
     # game-fuzz's per-auction z_of_value calls and Lambert solves come from
     # these names: MSPOA looks both schedule calls up in mechanisms, once
-    # per candidate win, and the kernel solves through _lambert_core.
+    # per runner-up bid that has not yet set a payment under these params,
+    # and the kernel solves through _lambert_core.
     from relayauction import verify
-    from relayauction.mechanisms import run_mspoa, truthful_profile
+    from relayauction.mechanisms import StrategyProfile, run_mspoa, truthful_bid, truthful_profile
 
     inst, params = verify.witness_instance()
     profile = truthful_profile(inst, params)
+    # Candidate 1 deviates; the runner-up is the same bid object.
+    deviated = StrategyProfile((*profile.bids[:1], truthful_bid(1.5, params, 1), *profile.bids[2:]))
     with tracing.patched(tracing.Tracer()) as tracer:
         out = run_mspoa(profile, inst, params)
+        first = tracer.calls.copy()
+        again = run_mspoa(deviated, inst, params)
     assert out.winner == 1
     assert tracer.calls["schedule.z_of_value"] == 1
     assert tracer.calls["schedule.optimal_schedule"] == 1
     assert tracer.calls["numerics.lambert_w0"] > 0
+    assert (again.winner, again.runner_up) == (1, 2) and tracer.calls == first
 
 
 def test_traced_mspoa_cap_bound_win_still_makes_the_counted_calls():

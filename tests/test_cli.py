@@ -1,6 +1,7 @@
 import json
 import math
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -430,6 +431,14 @@ class TestNumericalFailureExitCode:
         assert main(["solve", "--z", "1e308"]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_sweep_with_underflowing_durations_names_the_duration(self, tmp_path, capsys):
+        # At D = 5e-324 every schedule's duration D*ln2/rate underflows to 0.
+        argv = ["sweep", "--d-bits-per-hz", "5e-324", "--trials", "4", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numerical failure: the schedule's duration for z=\S+ underflows to 0\n", err)
+        assert not (tmp_path / "o").exists()
+
 
 class TestVerify:
     def test_all_pass_exits_zero(self, monkeypatch, capsys):
@@ -456,8 +465,8 @@ class TestVerify:
         # fuzzes settle 100 instances x 40 deviations each as batches.
         assert main(["verify", "--level", "fast"]) == 0
         record, out = _last_record(capsys)
-        assert (record["passed"], record["failed"]) == (7, 0)
-        assert out.count("PASS ") == 7
+        assert (record["passed"], record["failed"]) == (8, 0)
+        assert out.count("PASS ") == 8
 
     def test_unknown_level_is_a_value_error(self):
         from relayauction.verify import checks_for_level

@@ -81,6 +81,11 @@ def _oracle(z: float, params: SystemParams) -> float:
 # The cap's duration D*ln2/log1p(p_max/z) underflows to 0: exit 2, where a
 # zero-duration schedule costing 0 was reported.
 @example(z=0.1, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 5e-324})
+# D*ln2/t is subnormal where the oracle searches: min_power used to lose
+# that rate's bits, and the oracle then returned 2.8e140, below the
+# closed form's 1.2326093593162825e141, which no schedule beats.
+@example(z=10.0**158.25, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 1e-17, "lambda_w": 1e-166,
+                                 "p_max_w": 1.0})
 @settings(max_examples=examples(200), deadline=None)
 def test_solve(z, values):
     code, stdout = _run(["solve", f"--z={z!r}", *_flags(values)])

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import inspect
 import json
@@ -34,7 +35,7 @@ from relayauction import (
 )
 from relayauction import mechanisms
 from relayauction.mechanisms import SOURCE, settle
-from relayauction.schedule import ScheduleSolution, optimal_schedules
+from relayauction.schedule import ScheduleSolution, optimal_schedules, z_of_value
 
 LN2 = math.log(2.0)
 
@@ -788,6 +789,17 @@ class TestOutcomeBuilder:
             assert repr(got) == repr(expected)  # -0.0 and 0.0 compare equal
             assert ex_post_utility(got.winner, got, inst, params) == got.winner_net_energy_j
 
+    def test_subnormal_rate_takes_min_powers_rule(self):
+        # D*ln2/t = 6.9e-324 is subnormal: both powers are D*ln2*z/t, as in
+        # min_total_power, not the one-bit rate times z.
+        params = SystemParams(d_bits_per_hz=1e-17, sigma2_w=1e-9)
+        inst = _instance(2, z_w=[1e300, 2e300], h_i=[1e-300, 1.0])
+        t = 1e306
+        args = (Bid(t, 1.0, 1), Bid(t, 1.0, 2), t, 1.0, t * 2.0, inst, params)
+        out = mechanisms._outcome(*args)
+        assert out == self._two_evaluations(*args)
+        assert out.winner_relay_p_w == 1e-17 * LN2 * (1e-9 / 1e-300) / t
+
 
 class TestSlottedRecords:
     @pytest.fixture
@@ -820,6 +832,98 @@ class TestSlottedRecords:
     def test_records_round_trip(self, records):
         outcome = records[2]
         assert AuctionOutcome.from_record(outcome.to_record()) == outcome
+
+
+class TestMspoaPaymentMemo:
+    """A bid that set an MSPOA payment as runner-up keeps it for the same
+    ``SystemParams`` object, as an incentive check's deviations share the
+    opponents' bid objects; every outcome is the one fresh bids give."""
+
+    CASES = {
+        # (z0, the candidates' z, winner deviations' z): runner-up 2 pays.
+        "interior": (10.0, (1.0, 2.0), np.linspace(0.5, 1.9, 100)),
+        "cap-bound": (1e4, (100.0, 200.0), np.linspace(50.0, 190.0, 100)),
+    }
+
+    @staticmethod
+    def _profiles(case, params):
+        z0, z_w, deviations = TestMspoaPaymentMemo.CASES[case]
+        inst = _instance(2, z_w=z_w)
+        inst = dataclasses.replace(inst, z0_w=z0)
+        profile = truthful_profile(inst, params)
+        # One new bid of candidate 1 per profile, the others' bid objects
+        # shared, as the fuzz workload's profiles are built.
+        return inst, [
+            StrategyProfile(tuple(truthful_bid(float(z), params, 1) if b.bidder == 1 else b for b in profile.bids))
+            for z in deviations
+        ]
+
+    @staticmethod
+    def _counting(monkeypatch, name):
+        calls = []
+        real = getattr(mechanisms, name)
+        monkeypatch.setattr(mechanisms, name, lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_shared_runner_up_is_inverted_once(self, case, golden_params, monkeypatch):
+        inst, profiles = self._profiles(case, golden_params)
+        calls = self._counting(monkeypatch, "z_of_value")
+        outcomes = [run_mspoa(profile, inst, golden_params) for profile in profiles]
+        assert len(calls) == 1
+        assert {(out.winner, out.runner_up) for out in outcomes} == {(1, 2)}
+        capped = {out.payment_p_w == golden_params.p_max_w for out in outcomes}
+        assert capped == {case == "cap-bound"}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_outcome_is_the_fresh_bids_one(self, case, golden_params):
+        inst, profiles = self._profiles(case, golden_params)
+        for profile in profiles:
+            out = run_mspoa(profile, inst, golden_params)
+            fresh = StrategyProfile(tuple(dataclasses.replace(b) for b in profile.bids))
+            want = run_mspoa(fresh, inst, golden_params)
+            assert [getattr(out, f.name) for f in dataclasses.fields(out)] == [
+                getattr(want, f.name) for f in dataclasses.fields(want)
+            ]
+            assert repr(out) == repr(want)
+
+    def test_other_params_pay_their_own_schedule(self, golden_params, monkeypatch):
+        inst, profiles = self._profiles("interior", golden_params)
+        profile = profiles[0]
+        runner = profile.bids[2]
+        calls = self._counting(monkeypatch, "z_of_value")
+        # An equal but distinct object, and one with another delay power:
+        # each pays its own inversion, and the first params' again after.
+        for params in (golden_params, dataclasses.replace(golden_params),
+                       dataclasses.replace(golden_params, lambda_w=3.0), golden_params):
+            out = run_mspoa(profile, inst, params)
+            sol = optimal_schedule(z_of_value(score(runner, params), params), params)
+            assert (out.payment_t_s, out.payment_p_w, out.source_cost_ws) == (sol.t_star_s, sol.p_star_w, sol.cost_ws)
+        assert len(calls) == 4
+
+    def test_a_payment_that_raises_is_not_remembered(self, golden_params, monkeypatch):
+        # The runner-up's score 1e-300 has no effective channel in the
+        # normal doubles, so z_of_value raises on every call.
+        inst = _instance(2)
+        runner = Bid(1e-300, 1e-300, 2)
+        profile = StrategyProfile((Bid(1.0, 1.0, SOURCE), Bid(1e-301, 1e-300, 1), runner))
+        calls = self._counting(monkeypatch, "z_of_value")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no effective channel in the normal doubles"):
+                run_mspoa(profile, inst, golden_params)
+        assert len(calls) == 2
+        assert getattr(runner, "_mspoa_payment", None) is None
+
+    def test_copies_carry_no_memo(self, golden_instance, golden_params):
+        profile = truthful_profile(golden_instance, golden_params)
+        run_mspoa(profile, golden_instance, golden_params)
+        runner = profile.bids[2]
+        assert runner._mspoa_payment[0] is golden_params
+        for twin in (pickle.loads(pickle.dumps(runner)), copy.copy(runner), copy.deepcopy(runner),
+                     dataclasses.replace(runner)):
+            assert twin == runner and hash(twin) == hash(runner) and repr(twin) == repr(runner)
+            assert getattr(twin, "_mspoa_payment", None) is None
+        assert [f.name for f in dataclasses.fields(runner)] == list(Bid.__match_args__) == ["t_s", "p_tot_w", "bidder"]
 
 
 def _dataclass_twin(cls):

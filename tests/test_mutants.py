@@ -28,15 +28,20 @@ import relayauction
 from relayauction import mechanisms, montecarlo, verify
 
 M = mechanisms
+# run_mspoa's payment block, the memo included: a mutant of the payment
+# replaces all of it, so no payment remembered on a bid can mask the edit.
+MSPOA_PAYMENT = (
+    'paid = getattr(runner, "_mspoa_payment", None)\n'
+    "    if paid is None or paid[0] is not params:\n"
+    "        sol = optimal_schedule(z_of_value(_paid_score(runner, s_runner), params), params)\n"
+    "        paid = params, sol.t_star_s, sol.p_star_w, sol.cost_ws\n"
+    '        object.__setattr__(runner, "_mspoa_payment", paid)\n'
+    "    _, t, p, cost = paid"
+)
 # Each mutant: (function, text, replacement) edits.
 MUTANTS = {
     "mspoa-pays-runner-bid": [
-        (
-            M.run_mspoa,
-            "sol = optimal_schedule(z_of_value(_paid_score(runner, s_runner), params), params)\n"
-            "    return _outcome(best, runner, sol.t_star_s, sol.p_star_w, sol.cost_ws, inst, params)",
-            "return _outcome(best, runner, runner.t_s, runner.p_tot_w, _paid_score(runner, s_runner), inst, params)",
-        ),
+        (M.run_mspoa, MSPOA_PAYMENT, "t, p, cost = runner.t_s, runner.p_tot_w, _paid_score(runner, s_runner)"),
         (M.settle, 'if mech == "mspoa":', "if False:"),
     ],
     "spoa-pays-best-bid": [
@@ -57,8 +62,9 @@ MUTANTS = {
     "cap-tie-off": [(M._gain, "abs(gap) > CAP_TIE_REL * p", "abs(gap) > 0.0 * p")],
     # MSPOA pays optimal_schedule(z_of_value((1 - delta)*s_runner + delta*s_winner)).
     "delta-leak-1e-6": [
-        (M.run_mspoa, "z_of_value(_paid_score(runner, s_runner), params)",
-         "z_of_value((1 - 1e-6) * _paid_score(runner, s_runner) + 1e-6 * s_best, params)"),
+        (M.run_mspoa, MSPOA_PAYMENT,
+         "sol = optimal_schedule(z_of_value((1 - 1e-6) * _paid_score(runner, s_runner) + 1e-6 * s_best, params), params)\n"
+         "    t, p, cost = sol.t_star_s, sol.p_star_w, sol.cost_ws"),
         (M.settle, "u = float(pc[i])", "u = float((1 - 1e-6) * pc[i] + 1e-6 * c[i, best[i]])"),
     ],
 }
@@ -74,6 +80,7 @@ GATES = {
     "mspoa-incentive-compatibility-fuzz 10x10": lambda _: verify.check_mspoa_ic_fuzz(10, 10).passed,
     "spoa-nash-equilibrium-fuzz 10x10": lambda _: verify.check_spoa_ne_fuzz(10, 10).passed,
     "spoa-non-ic-witness": lambda _: verify.check_non_ic_demo().passed,
+    "tie-break": lambda _: verify.check_tie_break().passed,
     "trend-reproduction 200 trials": lambda _: verify.check_trends(200, n_jobs=1).passed,
     "golden sweep": _golden_sweep,
 }
@@ -88,6 +95,7 @@ CAUGHT = [
     ("winner-runner-swapped", "spoa-nash-equilibrium-fuzz 10x10"),
     ("winner-runner-swapped", "spoa-non-ic-witness"),
     ("winner-runner-swapped", "trend-reproduction 200 trials"),
+    ("tie-break-flipped", "tie-break"),
     # Below 1e-9 J (worst gain about 5e-13 J): the scale-aware count's catch.
     ("delta-leak-1e-6", "mspoa-incentive-compatibility-fuzz 10x10"),
     pytest.param("net-energy-bias-1e-12", "golden sweep",
@@ -126,12 +134,6 @@ def test_gate_fails_on_the_mutant(mutant, gate, monkeypatch, tmp_path):
     assert not GATES[gate](tmp_path)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="no gate sees the tie-break: random bids almost never tie exactly; only the unit tests "
-    "of the winner rule (TestOnePassWinnerRule, TestRunSpoa) catch it",
-)
 def test_some_gate_fails_on_a_flipped_tie_break(monkeypatch, tmp_path):
     _plant(monkeypatch, "tie-break-flipped")
     assert not all(gate(tmp_path) for gate in GATES.values())

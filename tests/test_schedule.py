@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -224,9 +225,13 @@ class TestOptimalSchedule:
 
     @pytest.mark.parametrize("z", [0.1, 1e-300])
     def test_underflowing_duration_is_a_convergence_error(self, z):
-        # D*ln2/log1p(p_max/z) is below the least double: no zero-duration schedule.
-        with pytest.raises(ConvergenceError, match="duration for z=.* underflows to 0"):
-            optimal_schedule(z, SystemParams(d_bits_per_hz=5e-324))
+        # D*ln2/log1p(p_max/z) is below the least double: no zero-duration
+        # schedule, from either kernel, and the same message from both.
+        params = SystemParams(d_bits_per_hz=5e-324)
+        with pytest.raises(ConvergenceError, match="duration for z=.* underflows to 0") as scalar:
+            optimal_schedule(z, params)
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(str(scalar.value))}$"):
+            optimal_schedules(np.array([z, z]), params)
 
 
 def _reference_schedule(z, d, lam, p_max):
@@ -716,3 +721,20 @@ class TestMinTotalPower:
     def test_rejects_non_positive_duration(self, params10):
         with pytest.raises(ValueError):
             min_total_power(-1.0, 1.0, params10)
+
+    @pytest.mark.parametrize(
+        "t, z, d",
+        [
+            (1e306, 10.0**158.25, 1e-17),  # D*ln2/t = 6.9e-324 holds one significant bit
+            (1e306, 1e300, 1e-17),
+            (1.7e308, 1e308, 4.3),  # D*ln2*z overflows; the power is 1.76
+        ],
+    )
+    def test_subnormal_rate_is_not_rounded_away(self, t, z, d):
+        # expm1(a) = a below the normal doubles, so the power is D*ln2*z/t,
+        # as exact as its three roundings, in both kernels.
+        assert d * LN2 / t < sys.float_info.min
+        exact = float(Fraction(d) * Fraction(LN2) * Fraction(z) / Fraction(t))
+        got = kernel.min_power(t, z, d)
+        assert got == pytest.approx(exact, rel=4e-16, abs=0.0)
+        assert kernel.min_powers(np.array([t]), np.array([z]), d).tolist() == [got]
