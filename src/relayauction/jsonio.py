@@ -20,7 +20,7 @@ import math
 import numbers
 import sys
 import typing
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -145,15 +145,28 @@ def plain(hint, val, where: str):
     raise ValueError(f"{where} must be {_describe(hint)}, got {val!r}")
 
 
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def frozen_record(cls):
     """``dataclass(frozen=True, slots=True)`` applied to ``cls``, with the
     generated ``__init__`` swapped for one that stores each field through
     its slot descriptor's ``__set__``, bound once here, where the
     dataclass's calls ``object.__setattr__`` by name. Parameters, defaults
-    and the ``__post_init__`` call are the dataclass's; frozen assignment,
-    eq, hash, repr, pickle, ``replace`` and ``__match_args__`` are left as
-    the dataclass makes them. A field takes a plain default or none."""
+    and the ``__post_init__`` call are the dataclass's; eq, hash, repr,
+    pickle, ``replace`` and ``__match_args__`` are left as the dataclass
+    makes them. Assigning or deleting any name raises FrozenInstanceError
+    in the dataclass's words, where the dataclass's own methods raise a
+    TypeError for a name that is not a field: their ``super()`` call names
+    the class that ``slots=True`` replaced. A field takes a plain default
+    or none."""
     cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
     env, params, body = {}, [], []
     for f in fields(cls):
         if not f.init or f.kw_only or f.default_factory is not MISSING:

@@ -27,8 +27,8 @@ scalar rules are its reference.
 A single auction builds records at every step (bids, the profile, the
 outcome, and under MSPOA the paid ``ScheduleSolution``), so they are
 ``jsonio.frozen_record`` classes, whose constructor costs 50-75 % of the
-dataclass's. A candidate win's outcome takes 2^(D/t) - 1 once for
-both the break-even and the relay power.
+dataclass's. A candidate win's outcome takes both its break-even and its
+relay power from ``kernel.min_power``, the package's one scalar power rule.
 
 MSPOA's payment is a function of the runner-up's score alone, which is why
 truthful bidding is dominant, so an incentive check that re-settles fixed
@@ -52,7 +52,7 @@ import math
 import numpy as np
 
 from .jsonio import MaybeInf, frozen_record, plain, read_record, write
-from .kernel import _LN2, _TINY, CAP_TIE_REL, ScheduleOverflow, min_power, min_powers
+from .kernel import CAP_TIE_REL, ScheduleOverflow, min_power, min_powers
 from .numerics import ConvergenceError
 from .scenario import ScenarioInstance
 from .schedule import (
@@ -182,16 +182,6 @@ def _gain(t, alpha_tilde, p, p_even):
     return t * alpha_tilde * (gap * (abs(gap) > CAP_TIE_REL * p) + 0.0)
 
 
-def _net_energy(t: float, p: float, winner: int, inst: ScenarioInstance, params: SystemParams) -> float:
-    """Candidate `winner`'s net harvest when paid (t, p), against the
-    break-even power ``min_total_power(t, z_w)``."""
-    z_w = float(inst.z_w[winner - 1])
-    e = _gain(t, float(inst.alpha_tilde[winner - 1]), p, min_total_power(t, z_w, params))
-    if not math.isfinite(e):
-        raise ConvergenceError(f"winner {winner}'s net energy overflows a double")
-    return e
-
-
 def _paid_score(b: Bid, s: float) -> float:
     """The score s of the bid b that sets the payment, which must be finite."""
     if s == math.inf:
@@ -228,44 +218,29 @@ def _winner_and_runner(
 
 
 def _outcome(
-    best: Bid, runner: Bid, t: float, p: float, cost: float, inst: ScenarioInstance, params: SystemParams
+    winner: int, runner: int, t: float, p: float, cost: float, inst: ScenarioInstance, params: SystemParams
 ) -> AuctionOutcome:
-    """The winner `best` paid (t, p) at source cost `cost`.
+    """Bidder `winner` paid (t, p) at source cost `cost`, `runner` second.
 
-    A winning candidate's net energy is ``_net_energy``'s, and its relay
-    power is the candidate's own retransmission power (2^(D/t)-1)*sigma2/h_i
-    at the payment duration, reported so cap violations are visible
-    downstream; one 2^(D/t) - 1 gives both powers, and where it overflows
-    or the rate D*ln2/t is subnormal ``min_power`` takes each. A relay
-    power beyond the largest double is reported as inf, i.e. infeasible.
+    A winning candidate's net energy is its harvest against the break-even
+    power ``min_power(t, z_w)``, and its relay power is its own
+    retransmission power ``min_power(t, sigma2/h_i)`` at the payment
+    duration, reported so cap violations are visible downstream; a relay
+    power beyond the largest double is inf, i.e. infeasible. t > 0 and z_w
+    are the bid's, schedule's and instance's to guarantee.
     """
-    if best.bidder == SOURCE:
-        return AuctionOutcome(SOURCE, runner.bidder, t, p, cost, 0.0)
-    i = best.bidder - 1
+    if winner == SOURCE:
+        return AuctionOutcome(SOURCE, runner, t, p, cost, 0.0)
+    i = winner - 1
     z_relay = params.sigma2_w / inst.h_i.item(i)
-    if z_relay < math.inf:
+    if not z_relay > 0.0:
         _check_z(z_relay)  # sigma2/h_i may underflow to 0
-    # min_total_power's checks, in its order.
-    if not t > 0.0:
-        raise ValueError(f"duration must be strictly positive, got {t!r}")
-    z_w = inst.z_w.item(i)
-    _check_z(z_w)
     d = params.d_bits_per_hz
-    rate = d * _LN2 / t  # min_power's own expression
-    try:
-        rate_power = math.expm1(rate)
-    except OverflowError:
-        rate_power = math.inf
-    if rate >= _TINY and rate_power < math.inf:
-        p_even = rate_power * z_w
-        relay_p = rate_power * z_relay if z_relay < math.inf else math.inf
-    else:  # a subnormal or overflowing rate: min_power's own rules
-        p_even = min_power(t, z_w, d)
-        relay_p = min_power(t, z_relay, d) if z_relay < math.inf else math.inf
-    net = _gain(t, inst.alpha_tilde.item(i), p, p_even)
+    relay_p = min_power(t, z_relay, d)
+    net = _gain(t, inst.alpha_tilde.item(i), p, min_power(t, inst.z_w.item(i), d))
     if not math.isfinite(net):
-        raise ConvergenceError(f"winner {best.bidder}'s net energy overflows a double")
-    return AuctionOutcome(best.bidder, runner.bidder, t, p, cost, net, relay_p, relay_p <= params.p_max_w)
+        raise ConvergenceError(f"winner {winner}'s net energy overflows a double")
+    return AuctionOutcome(winner, runner, t, p, cost, net, relay_p, relay_p <= params.p_max_w)
 
 
 def cooperative_baseline(
@@ -277,7 +252,7 @@ def cooperative_baseline(
     winning candidate exactly breaks even.
     """
     best, s_best, runner, _ = _winner_and_runner(profile, inst, params)
-    return _outcome(best, runner, best.t_s, best.p_tot_w, _paid_score(best, s_best), inst, params)
+    return _outcome(best.bidder, runner.bidder, best.t_s, best.p_tot_w, _paid_score(best, s_best), inst, params)
 
 
 def run_spoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams) -> AuctionOutcome:
@@ -288,7 +263,7 @@ def run_spoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemPar
     """
     best, s_best, runner, s_runner = _winner_and_runner(profile, inst, params)
     paid, s = (best, s_best) if best.bidder == SOURCE else (runner, s_runner)
-    return _outcome(best, runner, paid.t_s, paid.p_tot_w, _paid_score(paid, s), inst, params)
+    return _outcome(best.bidder, runner.bidder, paid.t_s, paid.p_tot_w, _paid_score(paid, s), inst, params)
 
 
 def run_mspoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams) -> AuctionOutcome:
@@ -296,7 +271,7 @@ def run_mspoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemPa
     runner-up score, i.e. map the runner-up back onto the bid manifold."""
     best, s_best, runner, s_runner = _winner_and_runner(profile, inst, params)
     if best.bidder == SOURCE:
-        return _outcome(best, runner, best.t_s, best.p_tot_w, _paid_score(best, s_best), inst, params)
+        return _outcome(best.bidder, runner.bidder, best.t_s, best.p_tot_w, _paid_score(best, s_best), inst, params)
     # The payment is a function of the runner-up's score alone: a bid that
     # set one under this same (frozen) params object sets it again.
     paid = getattr(runner, "_mspoa_payment", None)
@@ -305,7 +280,7 @@ def run_mspoa(profile: StrategyProfile, inst: ScenarioInstance, params: SystemPa
         paid = params, sol.t_star_s, sol.p_star_w, sol.cost_ws
         object.__setattr__(runner, "_mspoa_payment", paid)
     _, t, p, cost = paid
-    return _outcome(best, runner, t, p, cost, inst, params)
+    return _outcome(best.bidder, runner.bidder, t, p, cost, inst, params)
 
 
 def settle(
@@ -365,8 +340,8 @@ def settle(
 
 
 def _net_energies(t, p, winner, z, alpha_tilde, params: SystemParams) -> np.ndarray:
-    # _net_energy over rows; a source win's row reads its first candidate
-    # and is then zeroed.
+    # _outcome's net energy over rows; a source win's row reads its first
+    # candidate and is then zeroed.
     rows = np.arange(len(z))
     col = np.maximum(winner, 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -381,11 +356,21 @@ def _net_energies(t, p, winner, z, alpha_tilde, params: SystemParams) -> np.ndar
 def ex_post_utility(i: int, outcome: AuctionOutcome, inst: ScenarioInstance, params: SystemParams) -> float:
     """Net energy change for bidder i given a settled auction (J).
 
-    Zero for every non-winner and for the source index.
+    Zero for every non-winner and for the source index; a winning
+    candidate's is ``_outcome``'s. The outcome may come from outside the
+    mechanisms, a record say, so its winner must be one of the instance's
+    candidates and its payment duration positive, or ValueError.
     """
     if i == SOURCE or i != outcome.winner:
         return 0.0
-    return _net_energy(outcome.payment_t_s, outcome.payment_p_w, i, inst, params)
+    n = inst.n_candidates
+    if not 1 <= i <= n:
+        raise ValueError(f"winner {i!r} is not a candidate of an instance with {n} candidates")
+    t = outcome.payment_t_s
+    if not t > 0.0:
+        raise ValueError(f"duration must be strictly positive, got {t!r}")
+    out = _outcome(i, outcome.runner_up, t, outcome.payment_p_w, outcome.source_cost_ws, inst, params)
+    return out.winner_net_energy_j
 
 
 def non_ic_witness(z_win: float, params: SystemParams, eps1: float, bidder: int = 1) -> Bid:

@@ -105,11 +105,16 @@ def optimal_schedules(z: np.ndarray, params: SystemParams) -> tuple[np.ndarray, 
     """``optimal_schedule`` elementwise over an array of channels: arrays
     ``(t_star_s, p_star_w, cost_ws, constraint_active)`` of z's shape.
 
-    A cost that overflows a double is +inf here rather than an error, and z
-    is not checked; a duration that underflows to 0 raises ConvergenceError,
-    as in the scalar call. Array calls pay off at a sweep chunk's size; the
-    scalar call is the reference (see ``kernel`` for the agreement bounds).
+    A cost that overflows a double is +inf here rather than an error. The
+    first channel that is not positive and finite raises the scalar call's
+    ValueError, and a duration that underflows to 0 its ConvergenceError.
+    Array calls pay off at a sweep chunk's size; the scalar call is the
+    reference (see ``kernel`` for the agreement bounds).
     """
+    z = np.asarray(z, float)
+    ok = (z > 0.0) & (z < math.inf)
+    if not ok.all():
+        _check_z(float(z[~ok][0]))
     return kernel.schedules(z, params.d_bits_per_hz, params.lambda_w, params.p_max_w)
 
 

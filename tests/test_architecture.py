@@ -50,3 +50,29 @@ def test_one_function_assembles_scenario_instances():
     builders = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and calls(node)]
     assert len(calls(tree)) == 1
     assert builders == ["_instance"]
+
+
+def test_the_power_rule_stays_in_the_kernel():
+    # kernel.min_power is the one scalar rule for (2^(D/t) - 1)*z: mechanisms
+    # neither borrows the kernel's private constants nor takes expm1 itself.
+    tree = _trees()["mechanisms"]
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "kernel"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    private += [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "kernel"
+        and node.attr.startswith("_")
+    ]
+    expm1 = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "expm1" or isinstance(node, ast.Name) and node.id == "expm1"
+    ]
+    assert private == []
+    assert expm1 == []

@@ -33,7 +33,7 @@ from relayauction import (
     truthful_profile,
     value_of_z,
 )
-from relayauction import mechanisms
+from relayauction import mechanisms, verify
 from relayauction.mechanisms import SOURCE, settle
 from relayauction.schedule import ScheduleSolution, optimal_schedules, z_of_value
 
@@ -330,6 +330,24 @@ class TestExPostUtility:
         inst = _single_candidate_instance(10.0, 1.0)
         out = cooperative_baseline(truthful_profile(inst, golden_params), inst, golden_params)
         assert ex_post_utility(1, out, inst, golden_params) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("winner", [-1, 3, 5])
+    def test_winner_outside_the_candidates_is_rejected(self, winner):
+        # A negative index would read another candidate's channel.
+        inst, params = verify.witness_instance()
+        out = AuctionOutcome(winner, 0, 1.0, 1.0, 2.0, 0.0)
+        with pytest.raises(ValueError, match=f"^winner {winner} is not a candidate of an instance with 2 "):
+            ex_post_utility(winner, out, inst, params)
+
+    def test_winner_whose_relay_channel_underflows_is_rejected(self):
+        # sigma2/h_i underflows to 0: the rules' own error, not a net energy.
+        params = SystemParams(sigma2_w=1e-300)
+        inst = _instance(2, h_i=[1e300, 1.0])
+        with pytest.raises(ValueError, match="got 0.0$") as rules:
+            mechanisms._outcome(1, 2, 1.0, 0.5, 1.5, inst, params)
+        out = AuctionOutcome(1, 2, 1.0, 0.5, 1.5, 0.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(rules.value))}$"):
+            ex_post_utility(1, out, inst, params)
 
 
 class TestNonIcWitness:
@@ -783,7 +801,7 @@ class TestOutcomeBuilder:
         runner = Bid(1.0, params.p_max_w, 1 if source_wins else 2)
         args = (best, runner, t, p, t * (params.lambda_w + p), inst, params)
         expected = _outcome_or_error(self._two_evaluations, *args)
-        got = _outcome_or_error(mechanisms._outcome, *args)
+        got = _outcome_or_error(mechanisms._outcome, best.bidder, runner.bidder, *args[2:])
         assert got == expected
         if isinstance(got, AuctionOutcome):
             assert repr(got) == repr(expected)  # -0.0 and 0.0 compare equal
@@ -796,7 +814,7 @@ class TestOutcomeBuilder:
         inst = _instance(2, z_w=[1e300, 2e300], h_i=[1e-300, 1.0])
         t = 1e306
         args = (Bid(t, 1.0, 1), Bid(t, 1.0, 2), t, 1.0, t * 2.0, inst, params)
-        out = mechanisms._outcome(*args)
+        out = mechanisms._outcome(1, 2, *args[2:])
         assert out == self._two_evaluations(*args)
         assert out.winner_relay_p_w == 1e-17 * LN2 * (1e-9 / 1e-300) / t
 
@@ -817,6 +835,15 @@ class TestSlottedRecords:
             assert not hasattr(rec, "__dict__") and type(rec).__slots__
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(rec, dataclasses.fields(rec)[0].name, None)
+
+    def test_assigning_or_deleting_any_name_is_a_frozen_error(self, records):
+        for rec in records:
+            names = [f.name for f in dataclasses.fields(rec)] + ["not_a_field", "_mspoa_payment"]
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                    setattr(rec, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                    delattr(rec, name)
 
     def test_pickle_and_replace_round_trip(self, records):
         for rec in records:

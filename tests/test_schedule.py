@@ -233,6 +233,14 @@ class TestOptimalSchedule:
         with pytest.raises(ConvergenceError, match=f"^{re.escape(str(scalar.value))}$"):
             optimal_schedules(np.array([z, z]), params)
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+    def test_array_call_rejects_the_first_bad_channel(self, bad):
+        params = SystemParams()
+        with pytest.raises(ValueError) as scalar:
+            optimal_schedule(bad, params)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+            optimal_schedules(np.array([[1.0, bad], [-2.0, 1.0]]), params)
+
 
 def _reference_schedule(z, d, lam, p_max):
     # kernel.schedule as it stood before it decided the cap ahead of the
