@@ -97,7 +97,7 @@ def cmd_sweep(args) -> int:
     write_csv(cells, csv_path)
     records_path = out_dir / "cells.json"
     with open(records_path, "w") as fh:
-        json.dump(cells_record(cells), fh, indent=1, sort_keys=True)
+        json.dump(cells_record(cells), fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
     manifest = RunManifest(
         config_path=str(args.config) if args.config else "<defaults>",
@@ -109,7 +109,7 @@ def cmd_sweep(args) -> int:
     )
     manifest_path = out_dir / "manifest.json"
     with open(manifest_path, "w") as fh:
-        json.dump(manifest.to_record(), fh, indent=1, sort_keys=True)
+        json.dump(manifest.to_record(), fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"wrote {csv_path}")
     print(f"wrote {records_path}")

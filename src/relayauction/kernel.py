@@ -3,18 +3,18 @@
 The hot entry points are ``lambert_w0``, ``schedule`` (closed-form optimum
 for one effective channel), ``value`` (its cost) and ``rate_of_value``
 (the interior schedule's rate at a given cost, for ``schedule.z_of_value``,
-the inverse of ``value``). ``schedule`` decides a clearly binding power cap
-before it solves Lambert W and then skips the solve; the tuple is the one
-the solve would give, bit for bit (the proof is in its docstring).
+the inverse of ``value``). ``schedule`` decides whether the power cap
+binds with one comparison, and solves Lambert W only where it does not.
 ``rate_of_value`` solves no Lambert W: it takes the rate from an equation
 of its own, well conditioned where W0 next to its branch point is not.
 
 ``schedules`` and ``min_powers`` are their numpy twins over an array of
-channels, for the sweep's chunks: the same initial guesses, branch-point
-series, Halley stopping rule and cap tie, element by element. They agree
-with the scalar kernel to numpy's last-bit differences in ``exp``,
-``expm1`` and ``log1p``: cost to rel 1e-14, duration and power to rel 1e-9
-(the Lambert conditioning near the branch point), and the same cap flags.
+channels, for the sweep's chunks: the same rules, element by element. They
+agree with the scalar kernel to numpy's last-bit differences in ``exp``,
+``expm1`` and ``log1p``: duration and power to rel 1e-9 (the Lambert
+conditioning near the branch point), cost to rel 1e-14, or CAP_TIE_REL
+where either flags the cap, and the same cap flags except where the two
+durations fall on either side of the tie's threshold t_min/(1 - CAP_TIE_REL).
 A one-element array call costs far more than the scalar call, so single
 auctions stay on the scalar kernel, which is the reference.
 """
@@ -49,9 +49,6 @@ _ABS_TOL, _REL_TOL, _MAX_ITER = DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol, DEFAUL
 # lam/z below which w + 1 comes from the branch-point series: the same
 # threshold, x < -1/e + _SERIES_DX, at which _lambert_core returns that series.
 _SERIES_R = _E * _SERIES_DX
-# Relative slack of the cap's pre-decision (see schedule), far above the few
-# ulps that w*e^w, exp and the products lose.
-_CAP_SLACK = 1e-13
 # rate_of_value's guesses: q*(1 + q/6 + q^2/36), q = sqrt(2b), below
 # _RATE_SERIES_B, where it is the closer one, and b + 1 - e^-(b + 1) above.
 # Below _RATE_LOW_B the first is s to within q^3/270 < 2^-56 relative, and
@@ -144,18 +141,18 @@ def schedule(z, d, lam, p_max):
     overflows for huge z, and ConvergenceError when the duration underflows
     to 0 (d near the least double).
 
-    The cap is decided before Lambert W is solved. The interior duration is
-    d*ln2/(w + 1) with w = W0(x), x = (r - 1)/e, r = lam/z, and the cap's is
-    d*ln2/c with c = log1p(p_max/z); the cap binds when w + 1 >= c, i.e.
-    when x >= (c - 1)*e^(c - 1). Halley's w satisfies w*e^w = x' for some
-    x' within its stopping tolerance tol_f of x (plus rounding), so when x
-    exceeds (c - 1)*e^(c - 1) by more than ``_capped``'s margin the solved
-    w + 1 rounds to at least c, and the cap branch (or the tie at equal
-    durations) returns (t_min, p_max, t_min*(lam + p_max), True). That
-    tuple is then returned without the solve, bit for bit.
+    The interior duration is d*ln2/(w + 1) with w = W0(x), x = (r - 1)/e,
+    r = lam/z, and the cap's is d*ln2/c with c = log1p(p_max/z). W0 + 1
+    increases, so the cap binds exactly when w + 1 >= c, i.e. when
+    x >= (c - 1)*e^(c - 1) (Corless et al., "On the Lambert W function",
+    1996). That comparison is made first, and a capped channel takes c as
+    its w + 1 with no solve. A solve can still land within its tolerance of
+    c, so the solved duration is compared with the cap's afterwards.
     """
     r = lam / z
-    cap_rate = math.log1p(p_max / z)
+    pz = p_max / z
+    # Where p_max/z overflows, the 1 of log1p is far below its last bit.
+    cap_rate = math.log1p(pz) if pz < math.inf else math.log(p_max) - math.log(z)
     t_min = d * _LN2 / cap_rate if cap_rate > 0.0 else math.inf
     if r < _SERIES_R:
         # W0((r - 1)/e) + 1 as a series in q = sqrt(2r), taken before
@@ -166,9 +163,11 @@ def schedule(z, d, lam, p_max):
         wp1 = float(_w0_beyond(lam, z)) + 1.0
     else:
         x = (r - 1.0) * _INV_E
-        # Where the solve's w + 1 would round to at least cap_rate, cap_rate
-        # itself gives the same schedule: the tie at t_unc == t_min.
-        wp1 = cap_rate if _capped(x, cap_rate) else _lambert_core(x, _ABS_TOL, _REL_TOL, _MAX_ITER) + 1.0
+        # Past cap_rate = 710, (c - 1)*e^(c - 1) exceeds every double.
+        if cap_rate <= 710.0 and x >= (cap_rate - 1.0) * math.exp(cap_rate - 1.0):
+            wp1 = cap_rate
+        else:
+            wp1 = _lambert_core(x, _ABS_TOL, _REL_TOL, _MAX_ITER) + 1.0
     t_unc = d * _LN2 / wp1 if wp1 > 0.0 else 0.0
     if t_unc >= t_min:
         t = t_unc
@@ -183,21 +182,6 @@ def schedule(z, d, lam, p_max):
     if not t > 0.0:
         raise ConvergenceError(f"the schedule's duration for z={z!r} underflows to 0")
     return t, p, c, active
-
-
-def _capped(x, cap_rate):
-    # Whether W0(x) + 1 >= cap_rate holds for the w that _lambert_core would
-    # return for x: x clears (c - 1)*e^(c - 1) by twice Halley's stopping
-    # tolerance, plus _CAP_SLACK relative to both sides for the rounding of
-    # w*e^w, of exp and of the products. Only where Halley runs (not the
-    # branch-point series); false for nan and inf, which are then solved.
-    if not _NEG_INV_E + _SERIES_DX <= x < math.inf:
-        return False
-    u = cap_rate - 1.0  # at most 708.8 for a finite cap_rate, so exp(u) is finite
-    g = u * math.exp(u)
-    ax = abs(x)
-    tol_f = _ABS_TOL if _ABS_TOL > _REL_TOL * ax else _REL_TOL * ax
-    return x - g > 2.0 * tol_f + _CAP_SLACK * (ax + abs(g))
 
 
 def _w0_beyond(lam, z):
@@ -309,12 +293,18 @@ def schedules(z, d, lam, p_max):
         over = r == math.inf
         q = np.sqrt(2.0 * r)
         series = q * (1.0 + q * (_SERIES_C2 + q * _SERIES_C3))
-        # Series and overflowing elements take the branch point instead: no Halley steps.
-        x = np.where(near | over, _NEG_INV_E, (r - 1.0) * _INV_E)
-        wp1 = np.where(near, series, _lambert_w0s(x) + 1.0)
+        x = (r - 1.0) * _INV_E
+        cap_rate = np.log1p(p_max / z)
+        big = cap_rate == math.inf
+        if big.any():
+            cap_rate = np.where(big, np.log(p_max) - np.log(z), cap_rate)
+        capped = ~(near | over) & (x >= (cap_rate - 1.0) * np.exp(cap_rate - 1.0))
+        # Series, overflowing and capped elements take the branch point
+        # instead: no Halley steps.
+        w = _lambert_w0s(np.where(near | over | capped, _NEG_INV_E, x))
+        wp1 = np.where(near, series, np.where(capped, cap_rate, w + 1.0))
         wp1[over] = _w0_beyond(lam, z[over]) + 1.0
         t_unc = np.where(wp1 > 0.0, d * _LN2 / wp1, 0.0)
-        cap_rate = np.log1p(p_max / z)
         t_min = np.where(cap_rate > 0.0, d * _LN2 / cap_rate, math.inf)
         unc = t_unc >= t_min
         t = np.where(unc, t_unc, t_min)

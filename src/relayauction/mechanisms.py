@@ -38,16 +38,17 @@ payment it last set as runner-up with the ``SystemParams`` object it was
 set under; ``run_mspoa`` reuses it for that same (frozen) object and
 otherwise inverts as before, storing only a payment that succeeded. Eq,
 hash, repr, pickle, copies and ``replace`` do not see the slot. It pays
-off only where one bid object is the runner-up in many auctions: 85 % of
-``perfbench``'s ``game-fuzz`` candidate wins (round 0 at seed 424242: 2,796
-traced ``z_of_value`` calls and 1,710 Lambert solves, against 19,081 and
-11,251), none of the sweeps', whose payments go through ``settle``, which
-builds no ``Bid`` and inverts each distinct score once per batch.
+off only where one bid object is the runner-up in many auctions, as in
+the incentive fuzzes, whose opponents keep their bids across a focal
+bidder's deviations; not in the sweeps, whose payments go through
+``settle``, which builds no ``Bid`` and inverts each distinct score once
+per batch.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -68,6 +69,7 @@ OUTCOME_FORMAT = "relayauction/auction-outcome"
 RECORD_VERSION = 1
 
 SOURCE = 0  # bidder index of the source's reservation bid
+_LEAST_Z = math.ulp(0.0)  # the least positive double
 
 
 class _PaymentSlot:
@@ -382,18 +384,23 @@ def non_ic_witness(z_win: float, params: SystemParams, eps1: float, bidder: int 
     factor 2^(D/t*) - 1 as unity; when the factor drops below one (z much
     worse than lambda) the stretched bid can overshoot v(z_win), so eps2 is
     additionally capped at 99 percent of the exact sufficient bound
-    t*a*eps1/(lambda + a*(z_win - eps1)) with a = 2^(D/t*) - 1. The result
+    t*a*eps1/(lambda + a*(z_win - eps1)) with a = 2^(D/t*) - 1, the power
+    ``min_power`` gives a unit channel. The result
     always scores below v(z_win) yet pays less than the break-even power for
-    z_win at every duration, so a winner paid this bid loses energy.
+    z_win at every duration, so a winner paid this bid loses energy. Raises
+    ScheduleOverflow where z_win's schedule or the witness's duration
+    overflows a double.
     """
     if not 0.0 < eps1 < z_win:
         raise ValueError("eps1 must satisfy 0 < eps1 < z_win")
     sol = optimal_schedule(z_win, params)
     t_star = sol.t_star_s
-    a = math.pow(2.0, params.d_bits_per_hz / t_star) - 1.0
+    a = min_power(t_star, 1.0, params.d_bits_per_hz)
     bound = t_star * eps1 / ((z_win - eps1) + params.lambda_w)
     safe = t_star * a * eps1 / (params.lambda_w + a * (z_win - eps1))
     t = t_star + min(1.01 * bound, 0.99 * safe)
+    if t == math.inf:
+        raise ScheduleOverflow(f"the witness's duration for z_win={z_win!r} overflows a double")
     p = min_total_power(t, z_win - eps1, params)
     return Bid(t, p, bidder)
 
@@ -408,20 +415,26 @@ def sample_deviations(
 ) -> list[Bid]:
     """k alternative bids for a candidate whose true channel is z.
 
-    Mixes on-manifold bids for misreported channels (log-uniform around z),
-    off-manifold log-perturbations of the truthful bid (power clipped to the
-    cap), and the eps1/eps2 witness when its precondition 0 < eps1 < z holds.
-    witness_eps1 defaults to z/4.
+    Mixes on-manifold bids for misreported channels (log-uniform around z,
+    clamped into the positive finite doubles), off-manifold
+    log-perturbations of the truthful bid (power clipped to the cap), and
+    the eps1/eps2 witness when its precondition 0 < eps1 < z holds and it
+    does not overflow. witness_eps1 defaults to z/4.
     """
     if k < 1:
         raise ValueError("need k >= 1 deviations")
     eps1 = z / 4.0 if witness_eps1 is None else witness_eps1
-    witness = [non_ic_witness(z, params, eps1, bidder)] if 0.0 < eps1 < z else []
+    witness = []
+    if 0.0 < eps1 < z:
+        try:
+            witness = [non_ic_witness(z, params, eps1, bidder)]
+        except ScheduleOverflow:  # truthful_bid bids inf there
+            pass
     remaining = k - len(witness)
     n_manifold = remaining - remaining // 2
     out: list[Bid] = []
     for _ in range(n_manifold):
-        z_fake = z * 10.0 ** rng.uniform(-2.0, 2.0)
+        z_fake = min(max(z * 10.0 ** rng.uniform(-2.0, 2.0), _LEAST_Z), sys.float_info.max)
         out.append(truthful_bid(z_fake, params, bidder))
     truth = truthful_bid(z, params, bidder)
     for _ in range(remaining - n_manifold):

@@ -25,6 +25,7 @@ from .mechanisms import (
     settle,
     truthful_profile,
 )
+from .numerics import ConvergenceError
 from .scenario import ChannelConfig, GeometryConfig, ScenarioInstance, sample_instance
 from .schedule import SystemParams, optimal_schedules
 
@@ -271,6 +272,15 @@ def _trial_chunk(
     return out
 
 
+def _std_err(x: np.ndarray) -> float:
+    # np.std(x, ddof=1)/sqrt(trials), taken on x scaled by 2^-k, with 2^k
+    # above its largest magnitude, so that no square overflows. A power of
+    # two scales every step exactly, short of subnormals, so the result
+    # keeps its bits; for finite x it is at most that magnitude.
+    k = math.frexp(float(np.max(np.abs(x))))[1]
+    return math.ldexp(float(np.std(np.ldexp(x, -k), ddof=1)) / math.sqrt(len(x)), k)
+
+
 def _stats_from_metrics(
     metrics: np.ndarray, n: int, lambda_w: float, mechanism: str
 ) -> CellStats:
@@ -278,22 +288,27 @@ def _stats_from_metrics(
     t = metrics[:, 0]
     e = metrics[:, 1]
     h = metrics[:, 2]
-    mean_t = float(np.mean(t))
-    mean_e = float(np.mean(e))
-    if trials > 1:
-        se_t = float(np.std(t, ddof=1)) / math.sqrt(trials)
-        se_e = float(np.std(e, ddof=1)) / math.sqrt(trials)
-        se_h = float(np.std(h, ddof=1)) / math.sqrt(trials)
-    else:
-        se_t = 0.0
-        se_e = 0.0
-        se_h = 0.0
-    return CellStats(
+    # A sum past the largest double, or an energy t*p that is inf already,
+    # is caught below as a field that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_t = float(np.mean(t))
+        mean_e = float(np.mean(e))
+        if trials > 1:
+            se_t = _std_err(t)
+            se_e = _std_err(e)
+            se_h = _std_err(h)
+        else:
+            se_t = 0.0
+            se_e = 0.0
+            se_h = 0.0
+    # 10*log10 of the mean in mJ, in logs where the mJ overflow a double.
+    e_mj = mean_e * 1e3
+    stats = CellStats(
         n=n,
         lambda_w=lambda_w,
         mechanism=mechanism,
         mean_t_s=mean_t,
-        mean_energy_db_mj=10.0 * math.log10(mean_e * 1e3),
+        mean_energy_db_mj=10.0 * math.log10(e_mj) if e_mj < math.inf else 10.0 * math.log10(mean_e) + 30.0,
         mean_net_harvest_j=float(np.mean(h)),
         win_rate_source=float(np.mean(metrics[:, 3])),
         trials=trials,
@@ -301,6 +316,11 @@ def _stats_from_metrics(
         std_err_energy_db_mj=(10.0 / math.log(10.0)) * se_e / mean_e,
         std_err_net_harvest_j=se_h,
     )
+    bad = [name for name, v in vars(stats).items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        cell = f"(mechanism={mechanism}, n={n}, lambda_w={lambda_w!r})"
+        raise ConvergenceError(f"cell {cell} has no finite {', '.join(bad)}")
+    return stats
 
 
 def aggregate(

@@ -14,6 +14,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -61,7 +62,9 @@ def _default_jobs() -> int:
 
 def _oracle_bracket(z: float, params: SystemParams) -> tuple[float, float]:
     d, lam = params.d_bits_per_hz, params.lambda_w
-    t_min = d * math.log(2.0) / math.log1p(params.p_max_w / z)
+    pz = params.p_max_w / z
+    # Where p_max/z overflows, the 1 of log1p is far below its last bit.
+    t_min = d * math.log(2.0) / (math.log1p(pz) if pz < math.inf else math.log(params.p_max_w) - math.log(z))
     t_hi = max(10.0 * d / lam * (lam + z), 100.0 * d * math.log(2.0), 2.0 * t_min)
     g = lambda t: cost_function(t, z, params)
     while g(2.0 * t_hi) < g(t_hi):
@@ -487,30 +490,26 @@ def check_reproducibility(trials: int = 200) -> CheckResult:
     )
 
 
-def checks_for_level(level: str):
+# Every check in run order, with its fast-level arguments; None runs it at
+# the full level only. The full level runs each check with its defaults.
+CHECKS = (
+    (check_oracle_equivalence, {"n_z": 50}),
+    (check_lambert_residuals, {"n": 200}),
+    (check_monotonicity, {"n_grid": 60, "n_roundtrip": 25}),
+    (check_mspoa_ic_fuzz, {"instances": 100, "deviations": 40}),
+    (check_spoa_ne_fuzz, {"instances": 100, "deviations": 40}),
+    (check_non_ic_demo, {}),
+    (check_tie_break, {}),
+    (check_trends, None),
+    (check_reproducibility, {"trials": 40}),
+)
+
+
+def checks_for_level(level: str) -> list[partial]:
     if level == "fast":
-        return [
-            lambda: check_oracle_equivalence(n_z=50),
-            lambda: check_lambert_residuals(n=200),
-            lambda: check_monotonicity(n_grid=60, n_roundtrip=25),
-            lambda: check_mspoa_ic_fuzz(instances=100, deviations=40),
-            lambda: check_spoa_ne_fuzz(instances=100, deviations=40),
-            check_non_ic_demo,
-            check_tie_break,
-            lambda: check_reproducibility(trials=40),
-        ]
+        return [partial(check, **fast) for check, fast in CHECKS if fast is not None]
     if level == "full":
-        return [
-            check_oracle_equivalence,
-            check_lambert_residuals,
-            check_monotonicity,
-            check_mspoa_ic_fuzz,
-            check_spoa_ne_fuzz,
-            check_non_ic_demo,
-            check_tie_break,
-            check_trends,
-            check_reproducibility,
-        ]
+        return [partial(check) for check, _ in CHECKS]
     raise ValueError(f"unknown verification level {level!r}")
 
 

@@ -54,7 +54,9 @@ def test_one_function_assembles_scenario_instances():
 
 def test_the_power_rule_stays_in_the_kernel():
     # kernel.min_power is the one scalar rule for (2^(D/t) - 1)*z: mechanisms
-    # neither borrows the kernel's private constants nor takes expm1 itself.
+    # neither borrows the kernel's private constants nor takes expm1 or a
+    # power itself. The one power it keeps is 10.0**u, the log-uniform
+    # factor of a misreported channel.
     tree = _trees()["mechanisms"]
     private = [
         alias.name
@@ -74,5 +76,13 @@ def test_the_power_rule_stays_in_the_kernel():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "expm1" or isinstance(node, ast.Name) and node.id == "expm1"
     ]
+    powers = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "pow" or isinstance(node, ast.Name) and node.id == "pow"
+        or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and not (isinstance(node.left, ast.Constant) and node.left.value == 10.0)
+    ]
     assert private == []
     assert expm1 == []
+    assert powers == []

@@ -393,6 +393,20 @@ class TestSweep:
         path.write_text("{not json")
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("flag", ["--a-r-m2", "--d-bits-per-hz"])
+    def test_sweep_near_the_largest_double_writes_finite_outputs(self, tmp_path, flag):
+        # Per-trial values near 1e300, whose squares overflow a double.
+        out = tmp_path / "o"
+        assert main(["sweep", flag, "1e300", "--trials", "3", "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(",")[2:])
+
+        def strict(token):
+            raise ValueError(f"{token} is not JSON")
+
+        for name in ("cells.json", "manifest.json"):
+            json.loads((out / name).read_text(), parse_constant=strict)
+
 
 class TestConfigSchema:
     def test_defaults_round_trip(self):
@@ -467,6 +481,18 @@ class TestVerify:
         record, out = _last_record(capsys)
         assert (record["passed"], record["failed"]) == (8, 0)
         assert out.count("PASS ") == 8
+
+    def test_full_level_is_the_fast_checks_plus_trends(self):
+        # Read from the table, without running a check.
+        from relayauction import verify as verify_mod
+
+        fast = verify_mod.checks_for_level("fast")
+        full = verify_mod.checks_for_level("full")
+        trends = verify_mod.check_trends
+        assert len(fast) == 8 and trends not in [c.func for c in fast]
+        assert [c.func for c in full if c.func is not trends] == [c.func for c in fast]
+        assert len(full) == 9
+        assert all(not c.args and not c.keywords for c in full)
 
     def test_unknown_level_is_a_value_error(self):
         from relayauction.verify import checks_for_level

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -427,6 +428,24 @@ class TestSampleDeviations:
     def test_requested_count(self, golden_params):
         rng = np.random.default_rng(8)
         assert len(sample_deviations(0.7, golden_params, 31, rng)) == 31
+
+    @given(
+        z=st.floats(min_value=math.ulp(0.0), max_value=sys.float_info.max),
+        log_lam=st.floats(-3.0, 3.0),
+        log_pmax=st.floats(-3.0, 3.0),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(z=5e-324, log_lam=0.0, log_pmax=1.0, k=6, seed=0)  # a misreport underflows to 0
+    @example(z=1e308, log_lam=0.0, log_pmax=1.0, k=6, seed=0)  # z's own schedule overflows
+    @example(z=5e-324, log_lam=3.0, log_pmax=0.0, k=1, seed=0)  # p_max/z overflows and the cap binds
+    @example(z=2.5108138099089954e307, log_lam=-1.0, log_pmax=0.0, k=1, seed=0)  # the witness's t overflows
+    @settings(max_examples=examples(200), deadline=None)
+    def test_every_positive_finite_channel_gets_k_bids(self, z, log_lam, log_pmax, k, seed):
+        params = SystemParams(lambda_w=10.0**log_lam, p_max_w=10.0**log_pmax)
+        devs = sample_deviations(z, params, k, np.random.default_rng(seed))
+        assert len(devs) == k
+        assert all(b.t_s > 0.0 and 0.0 < b.p_tot_w <= params.p_max_w for b in devs)
 
     def test_needs_at_least_one_deviation(self, golden_params):
         with pytest.raises(ValueError) as err:

@@ -11,6 +11,7 @@ from conftest import examples
 
 from relayauction import (
     ChannelConfig,
+    ConvergenceError,
     GeometryConfig,
     SweepConfig,
     SystemParams,
@@ -120,6 +121,28 @@ class TestAggregate:
         cell = aggregate(outs, [None, None], n=1, lambda_w=1.0, mechanism="mspoa")
         mean_j = (1e-3 + 1e-1) / 2.0
         assert cell.mean_energy_db_mj == pytest.approx(10.0 * math.log10(mean_j * 1e3), rel=1e-12)
+
+    def test_scaled_standard_errors_keep_np_std_bits(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            x = 10.0 ** rng.uniform(-30.0, 30.0, size=rng.integers(2, 50))
+            x *= rng.choice([-1.0, 1.0], size=len(x))
+            assert montecarlo._std_err(x) == float(np.std(x, ddof=1)) / math.sqrt(len(x))
+
+    def test_cell_near_the_largest_double_is_finite(self):
+        # np.std squares 1e299 and overflows; the scaled form does not.
+        metrics = np.array([[1e299, 1e306, 3e299, 0.0], [2e299, 2e306, 1e299, 0.0], [3e299, 3e306, 2e299, 1.0]])
+        cell = montecarlo._stats_from_metrics(metrics, 1, 1.0, "mspoa")
+        assert all(math.isfinite(v) for v in vars(cell).values() if isinstance(v, float))
+        assert cell.std_err_t_s == pytest.approx(1e299 / math.sqrt(3.0), rel=1e-15)
+        # 2e306 J is past the largest double in mJ.
+        assert cell.mean_energy_db_mj == pytest.approx(10.0 * math.log10(2e306) + 30.0, rel=1e-15)
+
+    def test_cell_that_is_not_finite_names_itself(self):
+        metrics = np.array([[1.0, math.inf, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+        with pytest.raises(ConvergenceError, match=r"^cell \(mechanism=spoa, n=3, lambda_w=10\.0\) has no finite "
+                           r"mean_energy_db_mj, std_err_energy_db_mj$"):
+            montecarlo._stats_from_metrics(metrics, 3, 10.0, "spoa")
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):
