@@ -6,10 +6,11 @@ by the same rules for a config section as for a stored record (the README's
 that name no field are ignored, and every problem is collected, the
 dataclass's own ``ValueError`` included. It also takes numpy numbers and
 arrays, which JSON never holds, as plain Python values. ``check_fields``
-applies the same rule to a dataclass instance's own fields, so the config
-dataclasses' constructors type their arguments as the reader does;
-``plain`` is the records' cheaper type test, and ``frozen_record`` makes
-the records' classes. ``write`` is the inverse: fields as JSON values,
+applies the same rule to a dataclass instance's own fields, so every
+constructor types its arguments as the reader does: the config dataclasses'
+always, and the records' (``Bid``, ``ScenarioInstance``) wherever a field is
+not already the exact type the reader stores. ``frozen_record`` makes the
+records' classes. ``write`` is the inverse: fields as JSON values,
 tuples and arrays as lists, non-finite floats as null.
 """
 
@@ -121,28 +122,6 @@ def check_fields(obj) -> None:
         object.__setattr__(obj, f.name, read(hints[f.name], getattr(obj, f.name), f.name, problems))
     if problems:
         raise ValueError("; ".join(problems))
-
-
-def plain(hint, val, where: str):
-    """``val`` as the plain value ``read`` stores for ``hint`` (float,
-    MaybeInf, int, np.ndarray or Points), typed by a type or dtype test
-    alone; the caller tests the range, so a float may be inf or nan here.
-    Records' constructors use it where ``check_fields`` would cost tens of
-    microseconds. Raises ValueError in ``read``'s words."""
-    if hint in _ARRAYS:
-        # Not bool, str or object. numpy turns a list's bools into numbers
-        # when they are mixed with numbers, so a list's items are looked at.
-        arr = val if isinstance(val, np.ndarray) else np.asarray(val)
-        if arr.dtype.kind in "iuf" and (
-            arr is val or not any(isinstance(v, (bool, np.bool_)) for v in np.asarray(val, object).flat)
-        ):
-            return arr.astype(float, copy=False)
-    elif hint is int:
-        if isinstance(val, (int, np.integer)) and not isinstance(val, bool):
-            return int(val)
-    elif isinstance(val, float) or is_finite_number(val):
-        return float(val)
-    raise ValueError(f"{where} must be {_describe(hint)}, got {val!r}")
 
 
 def _frozen_setattr(self, name, value):

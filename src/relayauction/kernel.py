@@ -141,6 +141,17 @@ def schedule(z, d, lam, p_max):
     overflows for huge z, and ConvergenceError when the duration underflows
     to 0 (d near the least double).
 
+    Every schedule returned is priced by its own duration: ``cost(t, z, d,
+    lam)`` is within rel 2*CAP_TIE_REL of the cost returned, or
+    ConvergenceError naming z is raised. An interior schedule's cost is that
+    expression itself. A capped one reports p_max: at the cap's duration
+    its power is p_max to a few ulps per unit of rate, and a tie's duration,
+    up to CAP_TIE_REL longer, prices it lower by about CAP_TIE_REL, the cost
+    being stationary there. What fails is rounding: a subnormal duration, a
+    cap rate log1p(p_max/z) below the normal doubles, or a p_max so near the
+    largest double that the power rounds past it. ``schedules`` keeps the
+    same rule.
+
     The interior duration is d*ln2/(w + 1) with w = W0(x), x = (r - 1)/e,
     r = lam/z, and the cap's is d*ln2/c with c = log1p(p_max/z). W0 + 1
     increases, so the cap binds exactly when w + 1 >= c, i.e. when
@@ -175,12 +186,15 @@ def schedule(z, d, lam, p_max):
     else:
         t = t_min
         active = True
-    p = p_max if active else min_power(t, z, d)
+    if not t > 0.0:
+        raise ConvergenceError(f"the schedule's duration for z={z!r} underflows to 0")
+    p_even = min_power(t, z, d)
+    p = p_max if active else p_even
     c = t * (lam + p)
     if not math.isfinite(c):
         raise ScheduleOverflow(f"no finite schedule for z={z!r}")
-    if not t > 0.0:
-        raise ConvergenceError(f"the schedule's duration for z={z!r} underflows to 0")
+    if active and not abs(t * (lam + p_even) - c) <= 2.0 * CAP_TIE_REL * c:
+        raise ConvergenceError(f"the capped schedule for z={z!r} is not priced by its own duration {t!r}")
     return t, p, c, active
 
 
@@ -284,7 +298,8 @@ def schedules(z, d, lam, p_max):
 
     A cost that overflows is +inf here rather than an error. Raises
     ConvergenceError when a Lambert solve exhausts its iteration budget,
-    and, as ``schedule`` does, when a duration underflows to 0.
+    and, as ``schedule`` does, when a duration underflows to 0 or a finite
+    capped cost is not its own duration's.
     """
     z = np.asarray(z, float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -309,11 +324,19 @@ def schedules(z, d, lam, p_max):
         unc = t_unc >= t_min
         t = np.where(unc, t_unc, t_min)
         active = ~unc | ((t_unc - t_min) <= CAP_TIE_REL * t_unc)
-        p = np.where(active, p_max, min_powers(t, z, d))
+        p_even = min_powers(t, z, d)
+        p = np.where(active, p_max, p_even)
         c = t * (lam + p)
+        # A cost of +inf compares false, so an overflowing schedule passes.
+        unpriced = active & (np.abs(t * (lam + p_even) - c) > 2.0 * CAP_TIE_REL * c)
     zero = t == 0.0
     if zero.any():
         raise ConvergenceError(f"the schedule's duration for z={float(z[zero][0])!r} underflows to 0")
+    if unpriced.any():
+        i = np.flatnonzero(unpriced)[0]
+        raise ConvergenceError(
+            f"the capped schedule for z={float(z.flat[i])!r} is not priced by its own duration {float(t.flat[i])!r}"
+        )
     return t, p, c, active
 
 

@@ -52,7 +52,7 @@ import sys
 
 import numpy as np
 
-from .jsonio import MaybeInf, frozen_record, plain, read_record, write
+from .jsonio import MaybeInf, check_fields, frozen_record, read_record, write
 from .kernel import CAP_TIE_REL, ScheduleOverflow, min_power, min_powers
 from .numerics import ConvergenceError
 from .scenario import ScenarioInstance
@@ -94,8 +94,7 @@ class Bid(_PaymentSlot):
 
     def __post_init__(self):
         if type(self.t_s) is not float or type(self.p_tot_w) is not float or type(self.bidder) is not int:
-            for name, hint in (("t_s", MaybeInf), ("p_tot_w", float), ("bidder", int)):
-                object.__setattr__(self, name, plain(hint, getattr(self, name), name))
+            check_fields(self)
         if not self.t_s > 0.0:
             raise ValueError("bid duration must be strictly positive")
         if not 0.0 < self.p_tot_w < math.inf:

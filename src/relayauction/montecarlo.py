@@ -26,7 +26,14 @@ from .mechanisms import (
     truthful_profile,
 )
 from .numerics import ConvergenceError
-from .scenario import ChannelConfig, GeometryConfig, ScenarioInstance, sample_instance
+from .scenario import (
+    ChannelConfig,
+    GeometryConfig,
+    SamplingExhausted,
+    ScenarioInstance,
+    _path_loss_constants,
+    sample_instance,
+)
 from .schedule import SystemParams, optimal_schedules
 
 MECHANISMS = ("cooperative", "spoa", "mspoa")
@@ -34,6 +41,12 @@ CELLS_FORMAT = "relayauction/sweep-cells"
 RECORD_VERSION = 1
 
 _CHUNK = 256  # trials per work unit; fixed so job count cannot affect results
+# A sweep's work bound: at most MAX_INSTANCES sampled instances, trials x
+# |n_values|, 100 times the default grid's (their results are held in
+# memory, 32 bytes per auction), each with at most MAX_N candidates. Every
+# trial index and n is then below 2**32, one SeedSequence entropy word.
+MAX_INSTANCES = 4_000_000
+MAX_N = 1000
 
 
 @dataclass(frozen=True)
@@ -53,6 +66,10 @@ class SweepConfig:
             problems.append("n_values and lambda_values_w must be non-empty")
         if any(n < 1 for n in self.n_values):
             problems.append("every n must be at least 1")
+        if any(n > MAX_N for n in self.n_values):
+            problems.append(f"every n must be at most {MAX_N}")
+        if self.trials * len(self.n_values) > MAX_INSTANCES:
+            problems.append(f"trials x len(n_values) must be at most {MAX_INSTANCES}")
         # A repeated n would count its trials twice and understate every
         # standard error; a repeated delay power or mechanism would duplicate
         # its rows.
@@ -131,7 +148,8 @@ def _words(value: int) -> list[int]:
 
 def _seed_words(columns: list[np.ndarray]) -> list[np.ndarray]:
     """SeedSequence(entropy).generate_state(4, np.uint64) as eight uint32
-    columns, for one entropy per row: columns[j] holds each row's word j.
+    columns, for one entropy of at most four words per row: columns[j]
+    holds each row's word j.
     The hash constants do not depend on the data, so they run in Python
     ints; uint32 array arithmetic wraps as the reference's C does."""
     hash_const = _INIT_A
@@ -153,9 +171,6 @@ def _seed_words(columns: list[np.ndarray]) -> list[np.ndarray]:
         for dst in range(_POOL):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, len(columns)):
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(columns[src]))
     hash_const = _INIT_B
     out = []
     for i in range(8):
@@ -173,33 +188,32 @@ def trial_streams(seed: int, n: int, lo: int, hi: int) -> Iterator[np.random.Gen
     uint32 array operations; PCG64's seeding step then runs per trial in
     Python ints and is set as the state of one generator made for the chunk.
     Each yielded generator is therefore the same object: it holds trial k's
-    stream until the next one is taken. Trials from 2**32 on, whose index
-    takes a second entropy word, come from trial_rng itself.
+    stream until the next one is taken. The seed must be below 2**64, and n
+    and every trial index below 2**32 (so, in a sweep, SweepConfig's work
+    bound): the entropy is then at most four words, SeedSequence's pool.
     """
     seed, n, lo, hi = map(operator.index, (seed, n, lo, hi))
     if min(seed, n, lo) < 0:
         raise ValueError("seed, n and trial must be non-negative")
-    mid = max(lo, min(hi, 1 << 32))
-    if lo < mid:
-        trials = np.arange(lo, mid).astype(np.uint32)
-        shared = [np.full(len(trials), w, np.uint32) for w in _words(seed) + _words(n)]
-        words = np.stack(_seed_words(shared + [trials]), axis=1).astype(np.uint64)
-        # The words as little-endian uint64s: initstate (high, low), then initseq.
-        seeds = words[:, 0::2] | words[:, 1::2] << np.uint64(32)
-        rng = np.random.Generator(np.random.PCG64(0))
-        bitgen = rng.bit_generator
-        for s_hi, s_lo, q_hi, q_lo in seeds.tolist():
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
-    for k in range(mid, hi):
-        yield trial_rng(seed, n, k)
+    if seed >> 64 or n >> 32 or hi > 1 << 32:
+        raise ValueError("trial_streams takes a seed below 2**64 and n and trial indices below 2**32")
+    trials = np.arange(lo, hi, dtype=np.uint32)
+    shared = [np.full(len(trials), w, np.uint32) for w in _words(seed) + _words(n)]
+    words = np.stack(_seed_words(shared + [trials]), axis=1).astype(np.uint64)
+    # The words as little-endian uint64s: initstate (high, low), then initseq.
+    seeds = words[:, 0::2] | words[:, 1::2] << np.uint64(32)
+    rng = np.random.Generator(np.random.PCG64(0))
+    bitgen = rng.bit_generator
+    for s_hi, s_lo, q_hi, q_lo in seeds.tolist():
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def run_mechanism(
@@ -351,9 +365,16 @@ def run_sweep(
     Work is split into fixed-size trial chunks; with n_jobs > 1 the chunks
     run in up to n_jobs worker processes, never more than there are chunks,
     and land by index, so the output is identical for any job count.
+
+    Config errors raise ValueError: a job count below 1 and a direct-link
+    path loss that is not finite, before any work, and SamplingExhausted.
+    Any other ValueError raised inside a chunk, by the instance builder or
+    the kernel, is raised as a ConvergenceError naming the chunk (a
+    numerical failure).
     """
     if n_jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {n_jobs!r}")
+    _path_loss_constants(geom.q_s_m, chan)
     mechanisms = tuple(m for m in MECHANISMS if m in cfg.mechanisms)
     lambdas = cfg.lambda_values_w
     chunks = [
@@ -363,17 +384,23 @@ def run_sweep(
     ]
     results: dict[int, np.ndarray] = {}
     workers = min(n_jobs, len(chunks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_trial_chunk, cfg.seed, n, lo, hi, lambdas, mechanisms, geom, chan, params)
-                for (n, lo, hi) in chunks
-            ]
-            for idx, fut in enumerate(futures):
-                results[idx] = fut.result()
-    else:
-        for idx, (n, lo, hi) in enumerate(chunks):
-            results[idx] = _trial_chunk(cfg.seed, n, lo, hi, lambdas, mechanisms, geom, chan, params)
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [
+                    pool.submit(_trial_chunk, cfg.seed, n, lo, hi, lambdas, mechanisms, geom, chan, params)
+                    for (n, lo, hi) in chunks
+                ]
+                for idx, fut in enumerate(futures):
+                    results[idx] = fut.result()
+        else:
+            for idx, (n, lo, hi) in enumerate(chunks):
+                results[idx] = _trial_chunk(cfg.seed, n, lo, hi, lambdas, mechanisms, geom, chan, params)
+    except SamplingExhausted:
+        raise
+    except ValueError as exc:
+        n, lo, hi = chunks[idx]
+        raise ConvergenceError(f"seed {cfg.seed}, n={n}, trials {lo}..{hi - 1}: {exc}") from exc
 
     cells: list[CellStats] = []
     for n in cfg.n_values:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import Points, check_fields, plain, read_record, write
+from .jsonio import Points, check_fields, read_record, write
 from .schedule import SystemParams
 
 RECORD_FORMAT = "relayauction/scenario-instance"
@@ -101,25 +101,26 @@ class ScenarioInstance:
     z_w: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        # An ndarray of float64 is what plain returns for it, so it is kept
-        # without re-typing; its shape and range are checked all the same.
-        pos = self.candidate_positions_m
-        if not (type(pos) is np.ndarray and pos.dtype is _FLOAT):
-            pos = plain(Points, pos, "candidate_positions_m")
-            object.__setattr__(self, "candidate_positions_m", pos)
+        # Python floats and float64 arrays, which every builder passes, are
+        # kept as they are; any other input is typed by the reader's rule.
+        pos, h_i, h_si, at, z = self.candidate_positions_m, self.h_i, self.h_si, self.alpha_tilde, self.z_w
+        if not (
+            type(self.h_s) is type(self.z0_w) is float
+            and type(pos) is type(h_i) is type(h_si) is type(at) is type(z) is np.ndarray
+            and pos.dtype is h_i.dtype is h_si.dtype is at.dtype is z.dtype is _FLOAT
+        ):
+            check_fields(self)
+            pos = self.candidate_positions_m
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValueError(f"candidate_positions_m must be a list of [x, y] pairs, got shape {pos.shape}")
-        for name in ("h_s", "z0_w"):
-            value = getattr(self, name)
-            if type(value) is not float:
-                object.__setattr__(self, name, plain(float, value, name))
+        xy = pos.ravel().tolist()
+        # Their sum is finite, unless a pair of huge ones overflowed it.
+        if not math.isfinite(sum(xy)) and not all(-math.inf < v < math.inf for v in xy):
+            raise ValueError("candidate_positions_m entries must be finite")
         n = len(pos)
         values = [self.h_s, self.z0_w]
         for name in _ARRAY_FIELDS:
             arr = getattr(self, name)
-            if not (type(arr) is np.ndarray and arr.dtype is _FLOAT):
-                arr = plain(np.ndarray, arr, name)
-                object.__setattr__(self, name, arr)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have one entry per candidate position, got shape {arr.shape}")
             values += arr.tolist()

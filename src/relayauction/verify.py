@@ -388,6 +388,28 @@ def check_tie_break() -> CheckResult:
     return _result("tie-break", t0, not problems, detail)
 
 
+def check_break_even(trials: int = 2000) -> CheckResult:
+    """Every cooperative cell of a truthful sweep nets exactly 0: a winner
+    paid its own optimal schedule harvests its break-even energy, so
+    ``mean_net_harvest_j`` and its standard error are 0.0, cap-bound wins
+    included, where the kernel's cap tie absorbs the last-bit gap between
+    p_max and the power the cap's duration costs."""
+    t0 = time.perf_counter()
+    cfg = SweepConfig(
+        n_values=(1, 2, 3), lambda_values_w=(1.0, 100.0), trials=trials, mechanisms=("cooperative",)
+    )
+    cells = run_sweep(cfg, GeometryConfig(), ChannelConfig(), SystemParams())
+    problems = [
+        f"n={c.n} lam={c.lambda_w}: {c.mean_net_harvest_j!r} +- {c.std_err_net_harvest_j!r} J"
+        for c in cells
+        if c.mean_net_harvest_j != 0.0 or c.std_err_net_harvest_j != 0.0
+    ]
+    detail = "; ".join(problems[:3]) if problems else (
+        f"{len(cells)} cooperative cells of {trials} trials net exactly 0 J"
+    )
+    return _result("break-even", t0, not problems, detail)
+
+
 def _cell_index(cells):
     return {(c.mechanism, c.n, c.lambda_w): c for c in cells}
 
@@ -500,6 +522,7 @@ CHECKS = (
     (check_spoa_ne_fuzz, {"instances": 100, "deviations": 40}),
     (check_non_ic_demo, {}),
     (check_tie_break, {}),
+    (check_break_even, {"trials": 200}),
     (check_trends, None),
     (check_reproducibility, {"trials": 40}),
 )

@@ -86,3 +86,38 @@ def test_the_power_rule_stays_in_the_kernel():
     assert private == []
     assert expm1 == []
     assert powers == []
+
+
+def test_every_field_is_typed_by_the_reader():
+    # One typing rule, jsonio.read: jsonio keeps no second copy of it, no
+    # other module borrows its number test, and the records, like the config
+    # dataclasses, send their fields through check_fields.
+    trees = _trees()
+    assert "plain" not in [node.name for node in ast.walk(trees["jsonio"]) if isinstance(node, ast.FunctionDef)]
+    borrowed = [
+        (name, node.lineno)
+        for name, tree in trees.items()
+        if name != "jsonio"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) in ("plain", "is_finite_number")
+    ]
+    assert borrowed == []
+    owners = {
+        "mechanisms": ["Bid"],
+        "scenario": ["GeometryConfig", "ChannelConfig", "ScenarioInstance"],
+        "schedule": ["SystemParams"],
+        "montecarlo": ["SweepConfig"],
+    }
+    for module, classes in owners.items():
+        for node in ast.walk(trees[module]):
+            if isinstance(node, ast.ClassDef) and node.name in classes:
+                (post_init,) = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+                called = [
+                    call.func.id
+                    for call in ast.walk(post_init)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                ]
+                assert "check_fields" in called, node.name
+                classes.remove(node.name)
+        assert classes == [], module

@@ -328,6 +328,24 @@ class TestSweep:
         assert "top level must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ({"trials": 500_001}, "trials x len(n_values) must be at most 4000000"),
+            ({"n_values": [10**9], "trials": 1}, "every n must be at most 1000"),
+        ],
+    )
+    def test_work_above_the_bound_is_a_config_error(self, tmp_path, capsys, monkeypatch, sweep, message):
+        # Rejected by the config check: the sweep never starts.
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("relayauction.cli.run_sweep", never)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sweep": sweep}))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_exhausted_sampling_box_is_a_config_error(self, tmp_path, capsys, jobs):
         # No point of this box sees both the source and the access point; at
@@ -446,11 +464,32 @@ class TestNumericalFailureExitCode:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_sweep_with_underflowing_durations_names_the_duration(self, tmp_path, capsys):
-        # At D = 5e-324 every schedule's duration D*ln2/rate underflows to 0.
+        # At D = 5e-324 every schedule's duration D*ln2/rate is subnormal or
+        # 0, and the first chunk's capped schedules cost twice what their
+        # durations cost.
         argv = ["sweep", "--d-bits-per-hz", "5e-324", "--trials", "4", "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert re.fullmatch(r"numerical failure: the schedule's duration for z=\S+ underflows to 0\n", err)
+        assert re.fullmatch(
+            r"numerical failure: the capped schedule for z=\S+ is not priced by its own duration 5e-324\n", err
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, cause",
+        [
+            ("--sigma2-w", "5e-324", "no effective channel in the normal doubles has value"),
+            ("--sigma2-w", "1e300", "z_w entries must be strictly positive and finite"),
+            ("--alpha", "1e-300", "z_w entries must be strictly positive and finite"),
+        ],
+    )
+    def test_kernel_value_error_in_a_valid_sweep_maps_to_two(self, tmp_path, capsys, flag, value, cause):
+        # The config is valid; the MSPOA payment's inversion or the instance
+        # builder then raises ValueError inside the sweep.
+        argv = ["sweep", flag, value, "--trials", "3", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"numerical failure: seed 20260808, n=1, trials 0\.\.2: {cause}.*\n", err)
         assert not (tmp_path / "o").exists()
 
 
@@ -479,8 +518,8 @@ class TestVerify:
         # fuzzes settle 100 instances x 40 deviations each as batches.
         assert main(["verify", "--level", "fast"]) == 0
         record, out = _last_record(capsys)
-        assert (record["passed"], record["failed"]) == (8, 0)
-        assert out.count("PASS ") == 8
+        assert (record["passed"], record["failed"]) == (9, 0)
+        assert out.count("PASS ") == 9
 
     def test_full_level_is_the_fast_checks_plus_trends(self):
         # Read from the table, without running a check.
@@ -489,9 +528,9 @@ class TestVerify:
         fast = verify_mod.checks_for_level("fast")
         full = verify_mod.checks_for_level("full")
         trends = verify_mod.check_trends
-        assert len(fast) == 8 and trends not in [c.func for c in fast]
+        assert len(fast) == 9 and trends not in [c.func for c in fast]
         assert [c.func for c in full if c.func is not trends] == [c.func for c in fast]
-        assert len(full) == 9
+        assert len(full) == 10
         assert all(not c.args and not c.keywords for c in full)
 
     def test_unknown_level_is_a_value_error(self):

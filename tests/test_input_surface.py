@@ -86,6 +86,13 @@ def _oracle(z: float, params: SystemParams) -> float:
 # closed form's 1.2326093593162825e141, which no schedule beats.
 @example(z=10.0**158.25, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 1e-17, "lambda_w": 1e-166,
                                  "p_max_w": 1.0})
+# A capped schedule that its own duration does not price: the power at the
+# rounded cap duration passes the largest double (p_max is that double), or
+# the duration is the subnormal 5e-324. Exit 2, where a finite cost was
+# reported whose duration costs inf or half of it.
+@example(z=1e74, values={**dict.fromkeys(SYSTEM_FLAGS), "lambda_w": 5e-324, "p_max_w": sys.float_info.max})
+@example(z=sys.float_info.max, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 5e-324, "lambda_w": 1e-16,
+                                       "p_max_w": sys.float_info.max})
 @settings(max_examples=examples(200), deadline=None)
 def test_solve(z, values):
     code, stdout = _run(["solve", f"--z={z!r}", *_flags(values)])

@@ -83,6 +83,9 @@ class TestBidAndProfile:
             ((1.0, np.bool_(True), 1), "p_tot_w must be a finite number, got np.True_"),
             ((1.0, math.inf, 1), "bid power must be strictly positive and finite"),
             ((1.0, 0.5, -1), "bidder index must be non-negative"),
+            # numpy infinities are not numbers to the reader, whatever the width.
+            ((np.float64(math.inf), 0.5, 1), "t_s must be a finite number or null, got np.float64(inf)"),
+            ((np.float32(math.inf), 0.5, 1), "t_s must be a finite number or null, got np.float32(inf)"),
         ],
     )
     def test_bid_rejects_what_its_record_reader_rejects(self, args, message):
@@ -974,12 +977,16 @@ class TestMspoaPaymentMemo:
 
 def _dataclass_twin(cls):
     # What dataclass(frozen=True, slots=True) alone makes of the record's
-    # fields and __post_init__: the constructor frozen_record replaces.
+    # fields and __post_init__: the constructor frozen_record replaces. It
+    # takes the record's module, whose names resolve the type hints that
+    # check_fields reads.
     spec = [
         (f.name, f.type) if f.default is dataclasses.MISSING else (f.name, f.type, dataclasses.field(default=f.default))
         for f in dataclasses.fields(cls)
     ]
-    namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
+    namespace = {"__module__": cls.__module__}
+    if hasattr(cls, "__post_init__"):
+        namespace["__post_init__"] = cls.__post_init__
     return dataclasses.make_dataclass(cls.__name__, spec, namespace=namespace, frozen=True, slots=True)
 
 

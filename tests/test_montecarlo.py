@@ -70,6 +70,11 @@ class TestSweepConfig:
             dict(lambda_values_w=(1.0, 10.0, 1.0)),
             dict(n_values=(1.5,)),
             dict(trials=2.7),
+            # Above the work bound; built only, never run.
+            dict(n_values=(1, 1001)),
+            dict(n_values=(10**9,)),
+            dict(n_values=(1, 2), trials=2_000_001),
+            dict(trials=2**32),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -93,6 +98,10 @@ class TestSweepConfig:
     def test_numpy_integers_are_plain_ints(self):
         cfg = SweepConfig(n_values=(np.int64(2), np.int32(3)), trials=np.int64(4))
         assert cfg.n_values == (2, 3) and all(type(n) is int for n in cfg.n_values)
+
+    def test_work_bound_is_inclusive(self):
+        # Built only, never run.
+        assert SweepConfig(n_values=(1, montecarlo.MAX_N), trials=montecarlo.MAX_INSTANCES // 2)
 
 
 class TestAggregate:
@@ -340,20 +349,26 @@ def _state(rng):
 
 class TestTrialStreams:
     # trial_streams(seed, n, lo, hi) is trial_rng(seed, n, k) for k in
-    # lo..hi-1 from one reused generator; trials from 2**32 on fall back to
-    # trial_rng itself.
+    # lo..hi-1 from one reused generator, for n and k below 2**32 (which
+    # SweepConfig's work bound keeps a sweep to); beyond that it raises.
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("n", [1, 8, 2**32])
     def test_state_and_draws_are_the_per_trial_stream(self, seed, n):
-        for lo, hi in ((0, 256), (2**32 - 1, 2**32 + 1)):
+        if n >> 32:
+            with pytest.raises(ValueError, match="below 2\\*\\*32"):
+                next(trial_streams(seed, n, 0, 256))
+            return
+        for lo, hi in ((0, 256), (2**32 - 2, 2**32)):
             for k, rng in zip(range(lo, hi), trial_streams(seed, n, lo, hi), strict=True):
                 want = trial_rng(seed, n, k)
                 assert _state(rng) == _state(want), k
-                if k in (0, 255, 2**32 - 1, 2**32):
+                if k in (0, 255, 2**32 - 1):
                     assert rng.random(1000).tobytes() == want.random(1000).tobytes(), k
                 # An odd number of 32-bit draws leaves half a word buffered;
                 # the next trial's stream must not see it.
                 assert rng.integers(2**32, dtype=np.uint32) == want.integers(2**32, dtype=np.uint32)
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            next(trial_streams(seed, n, 2**32 - 1, 2**32 + 1))
 
     def test_the_chunk_generator_is_reused(self):
         streams = trial_streams(3, 2, 0, 3)
@@ -370,13 +385,30 @@ class TestTrialStreams:
     @settings(max_examples=examples(200), deadline=None)
     @given(
         st.integers(0, 2**64 - 1),
-        st.one_of(st.integers(1, 16), st.integers(1, 2**40)),
-        st.one_of(st.integers(0, 600), st.integers(2**32 - 8, 2**32 + 8), st.integers(0, 2**40)),
+        st.one_of(st.integers(1, 16), st.integers(1, 2**32 - 1)),
+        st.one_of(st.integers(0, 600), st.integers(2**32 - 20, 2**32 - 12), st.integers(0, 2**32 - 12)),
         st.integers(0, 12),
     )
     def test_every_stream_matches_trial_rng(self, seed, n, lo, length):
         got = [_state(rng) for rng in trial_streams(seed, n, lo, lo + length)]
         assert got == [_state(trial_rng(seed, n, k)) for k in range(lo, lo + length)]
+
+    @settings(max_examples=examples(50), deadline=None)
+    @given(
+        st.integers(0, 2**80),
+        st.one_of(st.integers(1, 16), st.integers(1, 2**40)),
+        st.one_of(st.integers(0, 600), st.integers(2**32 - 8, 2**32 + 8), st.integers(0, 2**40)),
+        st.integers(1, 12),
+    )
+    def test_streams_beyond_the_bound_raise(self, seed, n, lo, length):
+        # Where trial_rng's entropy would take a fifth word, or the last
+        # trial index a second one, trial_streams raises rather than wrap.
+        beyond = seed >> 64 or n >> 32 or lo + length > 2**32
+        if beyond:
+            with pytest.raises(ValueError):
+                next(trial_streams(seed, n, lo, lo + length))
+        else:
+            assert _state(next(trial_streams(seed, n, lo, lo + length))) == _state(trial_rng(seed, n, lo))
 
 
 class _CountingRng:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -627,12 +628,19 @@ class TestInstances:
             ("h_s", np.bool_(True), "h_s must be a finite number, got np.True_"),
             ("h_s", "2.0", "h_s must be a finite number, got '2.0'"),
             ("z0_w", None, "z0_w must be a finite number, got None"),
-            ("h_i", ["1.0", "2.0"], "h_i must be a list of finite numbers, got ['1.0', '2.0']"),
-            ("h_si", np.array([True, True]), "h_si must be a list of finite numbers, got array([ True,  True])"),
+            ("h_i", ["1.0", "2.0"], "h_i[0] must be a finite number, got '1.0'; h_i[1] must be a finite number, got '2.0'"),
+            ("h_si", np.array([True, True]),
+             "h_si[0] must be a finite number, got np.True_; h_si[1] must be a finite number, got np.True_"),
             # numpy makes [True, 2.0] a float array; the list's items are looked at.
-            ("alpha_tilde", [True, 2.0], "alpha_tilde must be a list of finite numbers, got [True, 2.0]"),
+            ("alpha_tilde", [True, 2.0], "alpha_tilde[0] must be a finite number, got True"),
             ("candidate_positions_m", [[1.0, 1.0], [True, 2.0]],
-             "candidate_positions_m must be a list of [x, y] pairs, got [[1.0, 1.0], [True, 2.0]]"),
+             "candidate_positions_m[1][0] must be a finite number, got True"),
+            # to_record would write these as null, which from_record rejects.
+            ("candidate_positions_m", np.array([[math.nan, math.inf], [1.0, 1.0]]),
+             "candidate_positions_m entries must be finite"),
+            ("candidate_positions_m", [[math.nan, math.inf], [1.0, 1.0]],
+             "candidate_positions_m[0][0] must be a finite number, got nan; "
+             "candidate_positions_m[0][1] must be a finite number, got inf"),
         ],
     )
     def test_rejects_what_its_record_reader_rejects(self, golden_instance, name, value, message):
@@ -642,6 +650,11 @@ class TestInstances:
         record = {**golden_instance.to_record(), name: value.tolist() if isinstance(value, np.ndarray) else value}
         with pytest.raises(ValueError, match=name):
             ScenarioInstance.from_record(record)
+
+    def test_takes_finite_positions_whose_sum_overflows(self):
+        ones = np.ones(2)
+        huge = np.full((2, 2), sys.float_info.max)
+        assert ScenarioInstance(huge, 1.0, ones, ones, ones, 1.0, ones).candidate_positions_m is huge
 
     def test_numbers_it_takes_are_stored_as_its_reader_stores_them(self, golden_instance):
         inst = ScenarioInstance(**{

@@ -234,6 +234,19 @@ class TestOptimalSchedule:
         with pytest.raises(ConvergenceError, match=f"^{re.escape(str(scalar.value))}$"):
             optimal_schedules(np.array([z, z]), params)
 
+    @pytest.mark.parametrize(
+        "z, d, lam, p_max",
+        [(1e74, 8.0, 5e-324, sys.float_info.max), (sys.float_info.max, 5e-324, 1e-16, sys.float_info.max)],
+    )
+    def test_capped_schedule_its_duration_does_not_price_is_a_convergence_error(self, z, d, lam, p_max):
+        # At its rounded cap duration the power passes the largest double, or
+        # the duration is subnormal: both kernels raise the same message.
+        params = SystemParams(d_bits_per_hz=d, lambda_w=lam, p_max_w=p_max)
+        with pytest.raises(ConvergenceError, match=f"capped schedule for z={re.escape(repr(z))} is not priced") as scalar:
+            optimal_schedule(z, params)
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(str(scalar.value))}$"):
+            optimal_schedules(np.array([z, z]), params)
+
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
     def test_array_call_rejects_the_first_bad_channel(self, bad):
         params = SystemParams()
