@@ -12,9 +12,9 @@ of its own, well conditioned where W0 next to its branch point is not.
 channels, for the sweep's chunks: the same rules, element by element. They
 agree with the scalar kernel to numpy's last-bit differences in ``exp``,
 ``expm1`` and ``log1p``: duration and power to rel 1e-9 (the Lambert
-conditioning near the branch point), cost to rel 1e-14, or CAP_TIE_REL
-where either flags the cap, and the same cap flags except where the two
-durations fall on either side of the tie's threshold t_min/(1 - CAP_TIE_REL).
+conditioning near the branch point), cost to rel 1e-14, and the same cap
+flags except where the two solved durations fall on either side of the
+cap's threshold t_min/(1 - CAP_TIE_REL).
 A one-element array call costs far more than the scalar call, so single
 auctions stay on the scalar kernel, which is the reference.
 """
@@ -135,22 +135,20 @@ def min_power(t, z, d):
 def schedule(z, d, lam, p_max):
     """Closed-form minimizer of t*(lam + (2^(d/t)-1)*z) s.t. power <= p_max.
 
-    Returns ``(t, p, cost, active)`` where active is True when the power cap
-    binds (ties within rel CAP_TIE_REL count as active). Raises
-    ScheduleOverflow when the cost is not finite, i.e. the cap duration
-    overflows for huge z, and ConvergenceError when the duration underflows
-    to 0 (d near the least double).
+    Returns ``(t, p, cost, active)``, one of two schedules: the cap's own
+    ``(t_min, p_max, t_min*(lam + p_max), True)`` where the unconstrained
+    duration is below the cap's t_min or within rel CAP_TIE_REL of it, and
+    the interior schedule with ``active`` False everywhere else. Raises
+    ScheduleOverflow when the cost is not finite, i.e. a duration overflows
+    for huge z, and ConvergenceError when the duration underflows to 0 (d
+    near the least double).
 
     Every schedule returned is priced by its own duration: ``cost(t, z, d,
-    lam)`` is within rel 2*CAP_TIE_REL of the cost returned, or
+    lam)`` is within rel CAP_TIE_REL of the cost returned, or
     ConvergenceError naming z is raised. An interior schedule's cost is that
-    expression itself. A capped one reports p_max: at the cap's duration
-    its power is p_max to a few ulps per unit of rate, and a tie's duration,
-    up to CAP_TIE_REL longer, prices it lower by about CAP_TIE_REL, the cost
-    being stationary there. What fails is rounding: a subnormal duration, a
-    cap rate log1p(p_max/z) below the normal doubles, or a p_max so near the
-    largest double that the power rounds past it. ``schedules`` keeps the
-    same rule.
+    expression itself, and at the cap's duration the power is p_max to a
+    few ulps per unit of rate. What fails is rounding: a cap duration below
+    the normal doubles has lost bits. ``schedules`` keeps the same rule.
 
     The interior duration is d*ln2/(w + 1) with w = W0(x), x = (r - 1)/e,
     r = lam/z, and the cap's is d*ln2/c with c = log1p(p_max/z). W0 + 1
@@ -162,30 +160,31 @@ def schedule(z, d, lam, p_max):
     """
     r = lam / z
     pz = p_max / z
-    # Where p_max/z overflows, the 1 of log1p is far below its last bit.
-    cap_rate = math.log1p(pz) if pz < math.inf else math.log(p_max) - math.log(z)
-    t_min = d * _LN2 / cap_rate if cap_rate > 0.0 else math.inf
+    if pz < _TINY:
+        cap_rate = pz
+        t_min = float(_linear_cap_duration(d, z, p_max))
+    else:
+        # Where p_max/z overflows, the 1 of log1p is far below its last bit.
+        cap_rate = math.log1p(pz) if pz < math.inf else math.log(p_max) - math.log(z)
+        t_min = d * _LN2 / cap_rate
     if r < _SERIES_R:
         # W0((r - 1)/e) + 1 as a series in q = sqrt(2r), taken before
-        # r - 1 cancels against 1.
-        q = math.sqrt(2.0 * r)
-        wp1 = q * (1.0 + q * (_SERIES_C2 + q * _SERIES_C3))
+        # r - 1 cancels against 1; where r is below the normal doubles it
+        # has lost bits, and q is sqrt(2*lam)/sqrt(z).
+        q = math.sqrt(2.0 * r) if r >= _TINY else math.sqrt(2.0 * lam) / math.sqrt(z)
+        t_unc = d * _LN2 / (q * (1.0 + q * (_SERIES_C2 + q * _SERIES_C3)))
     elif r == math.inf:  # x overflows too; W0 comes from ln x
-        wp1 = float(_w0_beyond(lam, z)) + 1.0
+        t_unc = d * _LN2 / (float(_w0_beyond(lam, z)) + 1.0)
     else:
         x = (r - 1.0) * _INV_E
         # Past cap_rate = 710, (c - 1)*e^(c - 1) exceeds every double.
         if cap_rate <= 710.0 and x >= (cap_rate - 1.0) * math.exp(cap_rate - 1.0):
-            wp1 = cap_rate
+            t_unc = t_min
         else:
-            wp1 = _lambert_core(x, _ABS_TOL, _REL_TOL, _MAX_ITER) + 1.0
-    t_unc = d * _LN2 / wp1 if wp1 > 0.0 else 0.0
-    if t_unc >= t_min:
-        t = t_unc
-        active = (t_unc - t_min) <= CAP_TIE_REL * t_unc
-    else:
-        t = t_min
-        active = True
+            t_unc = d * _LN2 / (_lambert_core(x, _ABS_TOL, _REL_TOL, _MAX_ITER) + 1.0)
+    # An interior duration that overflows to inf stays interior.
+    active = t_min >= t_unc * (1.0 - CAP_TIE_REL)
+    t = t_min if active else t_unc
     if not t > 0.0:
         raise ConvergenceError(f"the schedule's duration for z={z!r} underflows to 0")
     p_even = min_power(t, z, d)
@@ -193,7 +192,7 @@ def schedule(z, d, lam, p_max):
     c = t * (lam + p)
     if not math.isfinite(c):
         raise ScheduleOverflow(f"no finite schedule for z={z!r}")
-    if active and not abs(t * (lam + p_even) - c) <= 2.0 * CAP_TIE_REL * c:
+    if active and not abs(t * (lam + p_even) - c) <= CAP_TIE_REL * c:
         raise ConvergenceError(f"the capped schedule for z={z!r} is not priced by its own duration {t!r}")
     return t, p, c, active
 
@@ -208,6 +207,18 @@ def _w0_beyond(lam, z):
     for _ in range(2):
         w = w - (w + np.log(w) - log_x) / (1.0 + 1.0 / w)
     return w
+
+
+def _linear_cap_duration(d, z, p_max):
+    # The cap's duration d*ln2*z/p_max where p_max/z is below the normal
+    # doubles, for both kernels: log1p is the identity there, but the
+    # quotient has lost bits. Taken on mantissas and exponents, so that only
+    # the result can overflow or underflow.
+    mk, ek = np.frexp(d * _LN2)
+    mz, ez = np.frexp(z)
+    mp, ep = np.frexp(p_max)
+    with np.errstate(over="ignore"):
+        return np.ldexp(mk * mz / mp, ek + ez - ep)
 
 
 def value(z, d, lam, p_max):
@@ -294,7 +305,8 @@ def _lambert_w0s(x):
 
 def schedules(z, d, lam, p_max):
     """``schedule`` elementwise over an array of z: ``(t, p, cost, active)``
-    arrays of z's shape, ``active`` boolean.
+    arrays of z's shape, ``active`` boolean. Each element is one of
+    ``schedule``'s two schedules, the cap's own tuple or the interior one.
 
     A cost that overflows is +inf here rather than an error. Raises
     ConvergenceError when a Lambert solve exhausts its iteration budget,
@@ -307,28 +319,34 @@ def schedules(z, d, lam, p_max):
         near = r < _SERIES_R
         over = r == math.inf
         q = np.sqrt(2.0 * r)
+        lost = r < _TINY
+        if lost.any():
+            q = np.where(lost, np.sqrt(2.0 * lam) / np.sqrt(z), q)
         series = q * (1.0 + q * (_SERIES_C2 + q * _SERIES_C3))
         x = (r - 1.0) * _INV_E
-        cap_rate = np.log1p(p_max / z)
+        pz = p_max / z
+        cap_rate = np.log1p(pz)
         big = cap_rate == math.inf
         if big.any():
             cap_rate = np.where(big, np.log(p_max) - np.log(z), cap_rate)
+        t_min = d * _LN2 / cap_rate
+        small = pz < _TINY
+        if small.any():
+            t_min = np.where(small, _linear_cap_duration(d, z, p_max), t_min)
         capped = ~(near | over) & (x >= (cap_rate - 1.0) * np.exp(cap_rate - 1.0))
         # Series, overflowing and capped elements take the branch point
         # instead: no Halley steps.
         w = _lambert_w0s(np.where(near | over | capped, _NEG_INV_E, x))
-        wp1 = np.where(near, series, np.where(capped, cap_rate, w + 1.0))
+        wp1 = np.where(near, series, w + 1.0)
         wp1[over] = _w0_beyond(lam, z[over]) + 1.0
-        t_unc = np.where(wp1 > 0.0, d * _LN2 / wp1, 0.0)
-        t_min = np.where(cap_rate > 0.0, d * _LN2 / cap_rate, math.inf)
-        unc = t_unc >= t_min
-        t = np.where(unc, t_unc, t_min)
-        active = ~unc | ((t_unc - t_min) <= CAP_TIE_REL * t_unc)
+        t_unc = np.where(capped, t_min, d * _LN2 / wp1)
+        active = t_min >= t_unc * (1.0 - CAP_TIE_REL)
+        t = np.where(active, t_min, t_unc)
         p_even = min_powers(t, z, d)
         p = np.where(active, p_max, p_even)
         c = t * (lam + p)
         # A cost of +inf compares false, so an overflowing schedule passes.
-        unpriced = active & (np.abs(t * (lam + p_even) - c) > 2.0 * CAP_TIE_REL * c)
+        unpriced = active & (np.abs(t * (lam + p_even) - c) > CAP_TIE_REL * c)
     zero = t == 0.0
     if zero.any():
         raise ConvergenceError(f"the schedule's duration for z={float(z[zero][0])!r} underflows to 0")

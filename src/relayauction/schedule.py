@@ -93,9 +93,12 @@ def optimal_schedule(z: float, params: SystemParams) -> ScheduleSolution:
 
     The unconstrained optimum is D*ln2 / (W0((lambda/z - 1)/e) + 1); the cap
     branch D*ln2 / log1p(p_max/z) takes over for bad channels. Uniqueness
-    follows from convexity. Raises ScheduleOverflow, a ConvergenceError, when
-    the cost overflows a double, and ConvergenceError when the duration
-    underflows to 0.
+    follows from convexity. A capped solution is exactly the cap's
+    (t_min, p_max, t_min*(lambda + p_max)), also where the unconstrained
+    duration is within rel CAP_TIE_REL of t_min; every other is interior.
+    Raises ScheduleOverflow, a ConvergenceError, when the cost overflows a
+    double, and ConvergenceError when the duration underflows to 0 or the
+    cap's duration is too small for the power it costs to be p_max.
     """
     _check_z(z)
     return ScheduleSolution(*kernel.schedule(z, params.d_bits_per_hz, params.lambda_w, params.p_max_w))
@@ -140,19 +143,19 @@ def z_of_value(u: float, params: SystemParams) -> float:
     r*2^-52. value_of_z(z) then meets u to about 1e-12, the limit of its
     own Lambert tolerance.
 
-    Where b underflows, s = 0 takes the cap, as value_of_z does wherever
-    lambda/z underflows. Raises ValueError when z is not a positive normal
+    Where b is below the normal doubles it has lost bits, and s is
+    sqrt(2b) formed without the underflow, as the kernel forms its series
+    where lambda/z is. Raises ValueError when z is not a positive normal
     double, and ConvergenceError where value_of_z cannot resolve u: the
     schedule at z has a rate D*ln2/t below the normal doubles or a duration
-    that overflows, or b underflows although lambda/z does not and the cap
-    does not bind. Both name u.
+    that overflows. Both name u.
     """
     if not 0.0 < u < math.inf:
         raise ValueError(f"value must be strictly positive and finite, got {u!r}")
     d, lam, p_max = params.d_bits_per_hz, params.lambda_w, params.p_max_w
     k = d * _LN2
     b = k * lam / u
-    s = kernel.rate_of_value(b)
+    s = kernel.rate_of_value(b) if b >= _TINY else math.sqrt(2.0 * lam) * math.sqrt(k) / math.sqrt(u)
     if s > 0.0 and -math.expm1(-s) * u / k <= p_max:
         num, rate, den = u, s, k
     else:
@@ -165,11 +168,6 @@ def z_of_value(u: float, params: SystemParams) -> float:
         z = math.exp(log_z) if log_z < _LOG_HUGE else math.inf
     if not _TINY <= z < math.inf:
         raise ValueError(f"no effective channel in the normal doubles has value {u!r}")
-    if b == 0.0 and lam / z > 0.0 and 2.0 * math.log(p_max) >= math.log(2.0 * lam) + math.log(u) - math.log(k):
-        # b underflows to s = 0, which takes the cap. So does value_of_z
-        # wherever lambda/z underflows, but not at this z, and the interior
-        # power s*u/k = sqrt(2*lambda*u/k), compared in logs, is within it.
-        raise ConvergenceError(f"cannot resolve value {u!r}: D*ln2*lambda/u underflows")
     if not rate >= _TINY:
         raise ConvergenceError(f"cannot resolve value {u!r}: its schedule's rate D*ln2/t = {rate!r} underflows")
     if not k / rate < math.inf:

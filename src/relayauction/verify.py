@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from .mechanisms import (
+    SOURCE,
     ex_post_utility,
     non_ic_witness,
     run_mspoa,
@@ -30,7 +33,7 @@ from .mechanisms import (
     StrategyProfile,
 )
 from .montecarlo import SweepConfig, render_csv, run_sweep
-from .kernel import _NEG_INV_E, lambert_w0
+from .kernel import _NEG_INV_E, CAP_TIE_REL, lambert_w0
 from .numerics import ToleranceSpec, minimize_unimodal, solve_increasing
 from .scenario import ChannelConfig, GeometryConfig, ScenarioInstance, sample_instance
 from .schedule import (
@@ -63,8 +66,13 @@ def _default_jobs() -> int:
 def _oracle_bracket(z: float, params: SystemParams) -> tuple[float, float]:
     d, lam = params.d_bits_per_hz, params.lambda_w
     pz = params.p_max_w / z
-    # Where p_max/z overflows, the 1 of log1p is far below its last bit.
-    t_min = d * math.log(2.0) / (math.log1p(pz) if pz < math.inf else math.log(params.p_max_w) - math.log(z))
+    if pz < sys.float_info.min:
+        # p_max/z has lost bits, and log1p is the identity: D*ln2*z/p_max,
+        # rounded once from the D*ln2 that cost_function's power takes.
+        t_min = float(Fraction(d * math.log(2.0)) * Fraction(z) / Fraction(params.p_max_w))
+    else:
+        # Where p_max/z overflows, the 1 of log1p is far below its last bit.
+        t_min = d * math.log(2.0) / (math.log1p(pz) if pz < math.inf else math.log(params.p_max_w) - math.log(z))
     t_hi = max(10.0 * d / lam * (lam + z), 100.0 * d * math.log(2.0), 2.0 * t_min)
     g = lambda t: cost_function(t, z, params)
     while g(2.0 * t_hi) < g(t_hi):
@@ -351,6 +359,28 @@ def _tie_instance(z0: float, z_w: tuple[float, ...]) -> ScenarioInstance:
     )
 
 
+def _tie_profiles():
+    # check_tie_break's profiles: (instance, params, truthful profile, the
+    # winner and runner-up the rule must pick, where).
+    for lam in (0.1, 1.0, 100.0):
+        for p_max in (1.0, 10.0):
+            params = SystemParams(lambda_w=lam, p_max_w=p_max)
+            for z in (1e-3, 1.0, 1e3):
+                for z0, z_w, want in ((z, (z, 2.0 * z), (0, 1)), (4.0 * z, (2.0 * z, z, z), (2, 3))):
+                    inst = _tie_instance(z0, z_w)
+                    where = f"lam={lam} p_max={p_max} z0={z0} z={z_w}"
+                    yield inst, params, truthful_profile(inst, params), want, where
+
+
+def _settle_profile(mechanisms, profile: StrategyProfile, inst: ScenarioInstance, params: SystemParams):
+    # settle on the one-row batch of a profile.
+    bids = sorted(profile.bids, key=lambda b: b.bidder)
+    t = np.array([[b.t_s for b in bids]])
+    p = np.array([[b.p_tot_w for b in bids]])
+    z = np.array([[inst.z0_w, *inst.z_w]])
+    return settle(mechanisms, t, p, z, inst.alpha_tilde[None, :], params)
+
+
 def check_tie_break() -> CheckResult:
     """Exact ties go to the lower bidder index: the source beats a candidate
     whose truthful bid equals the reservation bid, and the lower of two
@@ -361,31 +391,71 @@ def check_tie_break() -> CheckResult:
     t0 = time.perf_counter()
     problems = []
     cases = 0
-    for lam in (0.1, 1.0, 100.0):
-        for p_max in (1.0, 10.0):
-            params = SystemParams(lambda_w=lam, p_max_w=p_max)
-            for z in (1e-3, 1.0, 1e3):
-                # (z0, candidates' z, the winner and runner-up the rule must pick)
-                for z0, z_w, want in ((z, (z, 2.0 * z), (0, 1)), (4.0 * z, (2.0 * z, z, z), (2, 3))):
-                    cases += 1
-                    inst = _tie_instance(z0, z_w)
-                    bids = truthful_profile(inst, params).bids
-                    where = f"lam={lam} p_max={p_max} z0={z0} z={z_w}"
-                    for order in (bids, bids[::-1]):
-                        profile = StrategyProfile(order)
-                        for rule in (run_spoa, run_mspoa):
-                            out = rule(profile, inst, params)
-                            if (out.winner, out.runner_up) != want:
-                                problems.append(f"{rule.__name__} picked {out.winner, out.runner_up} at {where}")
-                    z_row = np.array([[z0, *z_w]])
-                    t = np.array([[b.t_s for b in bids]])
-                    p = np.array([[b.p_tot_w for b in bids]])
-                    alpha = inst.alpha_tilde[None, :]
-                    winner, _ = settle(("cooperative", "spoa", "mspoa"), t, p, z_row, alpha, params)
-                    if int(winner[0]) != want[0]:
-                        problems.append(f"settle picked {int(winner[0])} at {where}")
+    for inst, params, profile, want, where in _tie_profiles():
+        cases += 1
+        for order in (profile.bids, profile.bids[::-1]):
+            reordered = StrategyProfile(order)
+            for rule in (run_spoa, run_mspoa):
+                out = rule(reordered, inst, params)
+                if (out.winner, out.runner_up) != want:
+                    problems.append(f"{rule.__name__} picked {out.winner, out.runner_up} at {where}")
+        winner, _ = _settle_profile(("cooperative", "spoa", "mspoa"), profile, inst, params)
+        if int(winner[0]) != want[0]:
+            problems.append(f"settle picked {int(winner[0])} at {where}")
     detail = "; ".join(problems[:3]) if problems else f"{cases} tied profiles settle to the lower bidder index"
     return _result("tie-break", t0, not problems, detail)
+
+
+# check_net_energy's bound, in ulps of t*alpha_tilde*max(p, p_even).
+NET_ULPS = 4
+
+
+def check_net_energy(instances: int = 1000) -> CheckResult:
+    """Every SPOA and MSPOA candidate win nets t*alpha_tilde*(p - p_even),
+    p_even = (2^(D/t) - 1)*z_w, recomputed here from the paid (t, p) by
+    ``math.expm1`` and not through the rules' power rule or their gain:
+    within NET_ULPS ulps of t*alpha_tilde*max(p, p_even), and exactly 0 J
+    where |p - p_even| <= CAP_TIE_REL*p, the break-even tie. Held for the
+    scalar rules and for ``settle`` on the MSPOA fuzz's instances with
+    arbitrary opponents, where SPOA pays off-manifold bids, and on the
+    tie-break's tied profiles, where a winner is paid its own schedule."""
+    t0 = time.perf_counter()
+    cases = []
+    for k in range(instances):
+        inst, params, rng, focal = _fuzz_setup(k, 97)
+        cases.append((inst, params, _arbitrary_opponents(inst, params, rng, focal)))
+    cases += [case[:3] for case in _tie_profiles()]
+    problems = []
+    wins = ties = 0
+    worst = 0.0
+    for inst, params, profile in cases:
+        winner, settled = _settle_profile(("spoa", "mspoa"), profile, inst, params)
+        for rule, (pt, pp, net) in zip((run_spoa, run_mspoa), settled):
+            out = rule(profile, inst, params)
+            paths = (
+                (rule.__name__, out.winner, out.payment_t_s, out.payment_p_w, out.winner_net_energy_j),
+                (f"settle {rule.__name__[4:]}", int(winner[0]), float(pt[0]), float(pp[0]), float(net[0])),
+            )
+            for path, w, t, p, e in paths:
+                if w == SOURCE:
+                    continue
+                wins += 1
+                z_w, alpha = inst.z_w.item(w - 1), inst.alpha_tilde.item(w - 1)
+                gap = p - math.expm1(params.d_bits_per_hz * math.log(2.0) / t) * z_w
+                if abs(gap) <= CAP_TIE_REL * p:
+                    ties += 1
+                    want, ok = 0.0, e == 0.0
+                else:
+                    want = t * alpha * gap
+                    ulps = abs(e - want) / (2.0**-52 * t * alpha * max(p, p - gap))
+                    worst = max(worst, ulps)
+                    ok = ulps <= NET_ULPS
+                if not ok:
+                    problems.append(f"{path} winner {w} nets {e!r} J, recomputed {want!r} J")
+    detail = "; ".join(problems[:3]) if problems else (
+        f"{wins} wins ({ties} break-even) net their recomputed energy, worst {worst:.2f} ulps"
+    )
+    return _result("net-energy", t0, not problems, detail)
 
 
 def check_break_even(trials: int = 2000) -> CheckResult:
@@ -522,6 +592,7 @@ CHECKS = (
     (check_spoa_ne_fuzz, {"instances": 100, "deviations": 40}),
     (check_non_ic_demo, {}),
     (check_tie_break, {}),
+    (check_net_energy, {"instances": 100}),
     (check_break_even, {"trials": 200}),
     (check_trends, None),
     (check_reproducibility, {"trials": 40}),

@@ -71,3 +71,11 @@ def test_criterion_9_tie_break():
     # Exact ties go to the lower bidder index: the source beats a candidate
     # bidding the reservation bid, the lower of two tied candidates wins.
     _report(9, verify.check_tie_break())
+
+
+def test_criterion_10_net_energy():
+    # 1000 fuzz instances plus the tied profiles: every SPOA and MSPOA
+    # candidate win, from the scalar rules and from settle, nets
+    # t*alpha_tilde*(p - (2^(D/t) - 1)*z_w) recomputed to 4 ulps of
+    # t*alpha_tilde*max(p, p_even), and exactly 0 J within the cap tie.
+    _report(10, verify.check_net_energy(instances=1000))

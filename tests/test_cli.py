@@ -518,8 +518,8 @@ class TestVerify:
         # fuzzes settle 100 instances x 40 deviations each as batches.
         assert main(["verify", "--level", "fast"]) == 0
         record, out = _last_record(capsys)
-        assert (record["passed"], record["failed"]) == (9, 0)
-        assert out.count("PASS ") == 9
+        assert (record["passed"], record["failed"]) == (10, 0)
+        assert out.count("PASS ") == 10
 
     def test_full_level_is_the_fast_checks_plus_trends(self):
         # Read from the table, without running a check.
@@ -528,9 +528,9 @@ class TestVerify:
         fast = verify_mod.checks_for_level("fast")
         full = verify_mod.checks_for_level("full")
         trends = verify_mod.check_trends
-        assert len(fast) == 9 and trends not in [c.func for c in fast]
+        assert len(fast) == 10 and trends not in [c.func for c in fast]
         assert [c.func for c in full if c.func is not trends] == [c.func for c in fast]
-        assert len(full) == 10
+        assert len(full) == 11
         assert all(not c.args and not c.keywords for c in full)
 
     def test_unknown_level_is_a_value_error(self):

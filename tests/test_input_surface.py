@@ -1,11 +1,15 @@
-"""``relayauction solve`` and ``auction`` on any number a user can type.
+"""``relayauction solve``, ``auction`` and ``sweep`` on any number a user
+can type.
 
-``cli.main`` runs in process on system flags and instance-record fields
-drawn log-uniformly over the positive doubles, 5e-324 to 1.8e308, their
-negatives, the two ends themselves, and 0, -0, nan and inf. Whatever the input, ``main`` returns 0, 1 (a
-config error) or 2 (a numerical failure) and nothing escapes. On 0 the last
-line is a strict JSON record. ``solve``'s cost is what its own duration
-costs, and it is no higher than the golden-section oracle's
+``cli.main`` runs in process on system flags, instance-record fields and
+config-file fields drawn log-uniformly over the positive doubles, 5e-324 to
+1.8e308, their negatives, the two ends themselves, and 0, -0, nan and inf;
+a config field may also be a bool or a value of the wrong type. Whatever
+the input, ``main`` returns 0, 1 (a config error) or 2 (a numerical
+failure) and nothing escapes. On 0 the last line is a strict JSON record,
+or for ``sweep`` every CSV field is finite and ``cells.json`` and
+``manifest.json`` are strict JSON. ``solve``'s cost is what its own
+duration costs, and it is no higher than the golden-section oracle's
 (``verify.oracle_schedule_cost``) wherever that oracle returns a finite
 cost.
 """
@@ -53,11 +57,12 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def _strict_record(stdout: str) -> dict:
-    def no_constant(name):
-        raise ValueError(f"{name} in the record")
+def _no_constant(name):
+    raise ValueError(f"{name} in the record")
 
-    return json.loads(stdout.splitlines()[-1], parse_constant=no_constant)
+
+def _strict_record(stdout: str) -> dict:
+    return json.loads(stdout.splitlines()[-1], parse_constant=_no_constant)
 
 
 def _params(values: dict) -> SystemParams:
@@ -93,6 +98,13 @@ def _oracle(z: float, params: SystemParams) -> float:
 @example(z=1e74, values={**dict.fromkeys(SYSTEM_FLAGS), "lambda_w": 5e-324, "p_max_w": sys.float_info.max})
 @example(z=sys.float_info.max, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 5e-324, "lambda_w": 1e-16,
                                        "p_max_w": sys.float_info.max})
+# A Lambert solve lands 1.0e-12 past the cap's duration: the cap's own
+# schedule, where p_max was paid at the solved duration, whose own power
+# priced it 1.0e-12 lower.
+@example(z=0.25500097491448065, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 10.0})
+# p_max/z is below the normal doubles: the cap's duration is D*ln2*z/p_max,
+# and the oracle's bracket, which started 1.8 times short of it, does too.
+@example(z=10.0**0.25, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 1e-16, "p_max_w": 5e-324})
 @settings(max_examples=examples(200), deadline=None)
 def test_solve(z, values):
     code, stdout = _run(["solve", f"--z={z!r}", *_flags(values)])
@@ -145,3 +157,53 @@ def test_auction_on_a_valid_instance(instance_file, values):
         code, stdout = _run(["auction", f"--instance={instance_file}", f"--mechanism={mechanism}", *_flags(values)])
         if code == 0:
             assert _strict_record(stdout)["winner"] in range(inst.n_candidates + 1)
+
+
+# Up to four config fields, each given a value of its kind or, one time in
+# five, a bool or a value of another type, over at most 4 trials of n <= 3:
+# trials and every n stay that small wherever they are integers.
+wrong = st.sampled_from([True, False, None, "1.0", [1.0], {"x": 1.0}])
+_SWEEP_FIELDS = {
+    "trials": st.one_of(st.integers(1, 4), number),
+    "seed": st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), 2**70), number),
+    "n_values": st.lists(st.one_of(st.integers(1, 3), number), min_size=1, max_size=3),
+    "lambda_values_w": st.lists(number, min_size=1, max_size=3),
+    "mechanisms": st.lists(st.one_of(st.sampled_from(MECHANISMS), number), min_size=1, max_size=3),
+}
+CONFIG_FIELDS = [(section, name) for section, values in DEFAULT_CONFIG.items() for name in values]
+
+
+def _config_value(section: str, name: str):
+    default = DEFAULT_CONFIG[section][name]
+    if section == "sweep":
+        given = _SWEEP_FIELDS[name]
+    elif isinstance(default, list):
+        given = st.lists(number, min_size=len(default), max_size=len(default))
+    else:
+        given = number
+    return st.integers(0, 4).flatmap(lambda k: wrong if k == 0 else given)
+
+
+@st.composite
+def configs(draw):
+    small = st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True)
+    config: dict = {"sweep": {"trials": draw(st.integers(1, 4)), "n_values": draw(small)}}
+    for section, name in draw(st.lists(st.sampled_from(CONFIG_FIELDS), max_size=4, unique=True)):
+        config.setdefault(section, {})[name] = draw(_config_value(section, name))
+    return config
+
+
+@given(config=configs())
+@settings(max_examples=examples(100), deadline=None)
+def test_sweep(tmp_path_factory, config):
+    where = tmp_path_factory.mktemp("sweep")
+    (where / "config.json").write_text(json.dumps(config))
+    code, _ = _run(["sweep", f"--config={where / 'config.json'}", f"--out={where / 'out'}"])
+    if code != 0:
+        return
+    header, *rows = (where / "out" / "sweep.csv").read_text().splitlines()
+    for row in rows:
+        mechanism, *numbers = row.split(",")
+        assert mechanism in MECHANISMS and all(math.isfinite(float(v)) for v in numbers), row
+    for name in ("cells.json", "manifest.json"):
+        json.loads((where / "out" / name).read_text(), parse_constant=_no_constant)

@@ -81,6 +81,7 @@ GATES = {
     "spoa-nash-equilibrium-fuzz 10x10": lambda _: verify.check_spoa_ne_fuzz(10, 10).passed,
     "spoa-non-ic-witness": lambda _: verify.check_non_ic_demo().passed,
     "tie-break": lambda _: verify.check_tie_break().passed,
+    "net-energy 100 instances": lambda _: verify.check_net_energy(100).passed,
     "break-even 200 trials": lambda _: verify.check_break_even(200).passed,
     "trend-reproduction 200 trials": lambda _: verify.check_trends(200, n_jobs=1).passed,
     "golden sweep": _golden_sweep,
@@ -99,11 +100,16 @@ CAUGHT = [
     ("tie-break-flipped", "tie-break"),
     # Below 1e-9 J (worst gain about 5e-13 J): the scale-aware count's catch.
     ("delta-leak-1e-6", "mspoa-incentive-compatibility-fuzz 10x10"),
+    # Wins that net far from break-even carry the bias past 4 ulps, on any host.
+    ("net-energy-bias-1e-12", "net-energy 100 instances"),
     pytest.param("net-energy-bias-1e-12", "golden sweep",
                  marks=pytest.mark.xfail(not host_matches(), reason=OFF_HOST, strict=True)),
     # Cap-bound cooperative wins net the last-bit gap between p_max and the
     # power their duration costs, on any host.
     ("cap-tie-off", "break-even 200 trials"),
+    # So do MSPOA wins paid a tied runner-up's schedule, which the inverse
+    # rebuilds to within the tie.
+    ("cap-tie-off", "net-energy 100 instances"),
     pytest.param("cap-tie-off", "golden sweep",
                  marks=pytest.mark.xfail(not host_matches(), reason=OFF_HOST, strict=True)),
 ]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import examples
@@ -47,6 +47,12 @@ ORACLE_COST_Z2 = 23.9056503824653
 @pytest.fixture
 def params10():
     return SystemParams(d_bits_per_hz=8.0, lambda_w=1.0, p_max_w=10.0)
+
+
+def _array_schedule(z, d, lam, p_max):
+    # kernel.schedules on a two-element array, as a scalar tuple.
+    t, p, c, active = kernel.schedules(np.array([z, z]), d, lam, p_max)
+    return float(t[1]), float(p[1]), float(c[1]), bool(active[1])
 
 
 class TestSystemParams:
@@ -234,18 +240,53 @@ class TestOptimalSchedule:
         with pytest.raises(ConvergenceError, match=f"^{re.escape(str(scalar.value))}$"):
             optimal_schedules(np.array([z, z]), params)
 
-    @pytest.mark.parametrize(
-        "z, d, lam, p_max",
-        [(1e74, 8.0, 5e-324, sys.float_info.max), (sys.float_info.max, 5e-324, 1e-16, sys.float_info.max)],
-    )
+    @pytest.mark.parametrize("z, d, lam, p_max", [(1.0, 5e-324, 1e3, 1.0), (1e-300, 1e-320, 1e3, 1.0)])
     def test_capped_schedule_its_duration_does_not_price_is_a_convergence_error(self, z, d, lam, p_max):
-        # At its rounded cap duration the power passes the largest double, or
-        # the duration is subnormal: both kernels raise the same message.
+        # The cap's duration is subnormal, so the power it costs is not
+        # p_max: both kernels raise the same message.
         params = SystemParams(d_bits_per_hz=d, lambda_w=lam, p_max_w=p_max)
         with pytest.raises(ConvergenceError, match=f"capped schedule for z={re.escape(repr(z))} is not priced") as scalar:
             optimal_schedule(z, params)
         with pytest.raises(ConvergenceError, match=f"^{re.escape(str(scalar.value))}$"):
             optimal_schedules(np.array([z, z]), params)
+
+    @pytest.mark.parametrize("kernel_call", [kernel.schedule, _array_schedule])
+    def test_cap_where_p_max_over_z_is_below_the_normal_doubles(self, kernel_call):
+        # log1p(p_max/z) is the subnormal p_max/z, which has lost its bits:
+        # the cap's duration is D*ln2*z/p_max, and its power p_max. The
+        # quotient z/p_max itself overflows a double.
+        z, d, lam, p_max = 1.7579501103954357e236, 3.746573680066036e-201, 1.876457412818082e-121, 5.175601540150064e-84
+        assert 0.0 < p_max / z < kernel._TINY and z / p_max == math.inf
+        t, p, c, active = kernel_call(z, d, lam, p_max)
+        exact = Fraction(d * _LN2) * Fraction(z) / Fraction(p_max)
+        assert active and p == p_max and c == t * (lam + p_max)
+        assert abs(Fraction(t) - exact) <= 2 * EPS * exact
+        assert kernel.cost(t, z, d, lam) == pytest.approx(c, rel=1e-15)
+
+    @pytest.mark.parametrize("kernel_call", [kernel.schedule, _array_schedule])
+    @pytest.mark.parametrize(
+        "z, d, lam, p_max", [(9.857368793793729e296, 1e-3, 1e-300, 1e300), (1e74, 8.0, 5e-324, sys.float_info.max)]
+    )
+    def test_interior_schedule_where_lam_over_z_underflows(self, kernel_call, z, d, lam, p_max):
+        # lam/z rounds to 0, and the series' q = sqrt(2*lam/z) comes from
+        # sqrt(2*lam)/sqrt(z): an interior schedule, cheaper than the cap's,
+        # which was taken because q was 0.
+        assert lam / z == 0.0
+        t, p, c, active = kernel_call(z, d, lam, p_max)
+        assert not active and p < p_max
+        assert c == pytest.approx(kernel.cost(t, z, d, lam), rel=1e-14)
+        assert c < d * _LN2 / math.log1p(p_max / z) * (lam + p_max)
+        for step in (-1e-4, 1e-4):
+            assert kernel.cost(t * (1.0 + step), z, d, lam) >= c * (1.0 - 1e-12)
+
+    def test_interior_duration_that_overflows_stays_interior(self):
+        # lam/z underflows and the interior duration D*ln2/q, about 5e599,
+        # overflows to inf, which is no tie with the cap's finite 1e300.
+        z, d, lam, p_max = 1e300, 1e300, 1e-300, 1e300
+        with pytest.raises(ScheduleOverflow, match="no finite schedule"):
+            kernel.schedule(z, d, lam, p_max)
+        t, p, c, active = kernel.schedules(np.array([z]), d, lam, p_max)
+        assert t[0] == c[0] == math.inf and not active[0]
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
     def test_array_call_rejects_the_first_bad_channel(self, bad):
@@ -258,7 +299,8 @@ class TestOptimalSchedule:
 
 def _reference_schedule(z, d, lam, p_max):
     # kernel.schedule as it stood before it decided the cap ahead of the
-    # Lambert solve: every interior-branch call solves.
+    # Lambert solve: every interior-branch call solves. A solved duration
+    # within CAP_TIE_REL of the cap's takes the cap's own schedule.
     r = lam / z
     if r < _SERIES_R:
         q = math.sqrt(2.0 * r)
@@ -269,12 +311,8 @@ def _reference_schedule(z, d, lam, p_max):
     t_unc = d * _LN2 / wp1 if wp1 > 0.0 else 0.0
     cap_rate = math.log1p(p_max / z)
     t_min = d * _LN2 / cap_rate if cap_rate > 0.0 else math.inf
-    if t_unc >= t_min:
-        t = t_unc
-        active = (t_unc - t_min) <= CAP_TIE_REL * t_unc
-    else:
-        t = t_min
-        active = True
+    active = t_min >= t_unc * (1.0 - CAP_TIE_REL)
+    t = t_min if active else t_unc
     p = p_max if active else math.expm1(d * _LN2 / t) * z
     c = t * (lam + p)
     if not math.isfinite(c):
@@ -342,8 +380,7 @@ def _is_reference_or_its_cap(got, want, z, d, lam, p_max):
     # W0(x) + 1 at 50 digits, for the x = (lam/z - 1)/e the kernel forms,
     # reaches c = log1p(p_max/z) to within CAP_TIE_REL. The reference misses
     # the cap there when its solve, which stops on a residual of 1e-10
-    # relative, lands within CAP_TIE_REL above the cap's duration (a tie it
-    # keeps) or just beyond (an interior schedule).
+    # relative, lands more than CAP_TIE_REL above the cap's duration.
     if got == want:
         return True
     c = math.log1p(p_max / z)
@@ -491,25 +528,61 @@ class TestArrayKernel:
     @settings(max_examples=examples(100), deadline=None)
     def test_cap_boundary_band_matches_the_scalar_kernel(self, log_lam, log_pmax, log_d):
         # TestCapBeforeSolve's band. The flags differ only where the two
-        # durations fall on either side of the tie's threshold
-        # t_min/(1 - CAP_TIE_REL), each within a few ulps of it: np.log1p and
-        # math.log1p differ by an ulp, and near the branch point so do the
-        # Lambert solves, by more. A flagged schedule pays p_max at up to
-        # CAP_TIE_REL past the cap's duration, so its cost agrees to that.
+        # solved durations fall on either side of the cap's threshold
+        # t_min/(1 - CAP_TIE_REL): np.log1p and math.log1p differ by an ulp,
+        # and near the branch point so do the Lambert solves, by more. A
+        # flagged schedule is the cap's own, and the cost is stationary at
+        # the threshold, so the costs agree to 1e-14 either way.
         params = SystemParams(d_bits_per_hz=10.0**log_d, lambda_w=10.0**log_lam, p_max_w=10.0**log_pmax)
         d, lam, p_max = params.d_bits_per_hz, params.lambda_w, params.p_max_w
         band = _cap_band(d, lam, p_max) + _cap_band(d, lam, p_max, _at_cap_duration)
         t, p, c, active = optimal_schedules(np.array(band), params)
         for i, z in enumerate(band):
             sol = optimal_schedule(z, params)
-            flagged = sol.constraint_active or bool(active[i])
-            assert c[i] == pytest.approx(sol.cost_ws, rel=CAP_TIE_REL + 1e-14 if flagged else 1e-14, abs=0.0)
+            assert c[i] == pytest.approx(sol.cost_ws, rel=1e-14, abs=0.0)
             assert t[i] == pytest.approx(sol.t_star_s, rel=1e-9, abs=0.0)
             assert p[i] == pytest.approx(sol.p_star_w, rel=1e-9, abs=0.0)
             if bool(active[i]) != sol.constraint_active:
                 tie = d * _LN2 / math.log1p(p_max / z) / (1.0 - CAP_TIE_REL)
                 t_on, t_off = (t[i], sol.t_star_s) if active[i] else (sol.t_star_s, t[i])
                 assert t_on <= tie * (1.0 + 4.0 * EPS) and t_off >= tie * (1.0 - 4.0 * EPS), z
+
+    @given(
+        log_z=st.lists(st.floats(-323.3, 308.25), min_size=1, max_size=8),
+        log_d=st.floats(-323.3, 308.25),
+        log_lam=st.floats(-323.3, 308.25),
+        log_pmax=st.floats(-323.3, 308.25),
+    )
+    # test_input_surface's cap tie (z = 0.25500097491448065, D = 10) and the
+    # subnormal p_max/z of test_cap_where_p_max_over_z_is_below_the_normal_doubles.
+    @example(log_z=[-0.5934581591771433], log_d=1.0, log_lam=0.0, log_pmax=0.0)
+    @example(log_z=[236.0], log_d=-200.0, log_lam=-121.0, log_pmax=-84.0)
+    @settings(max_examples=examples(300), deadline=None)
+    def test_every_capped_schedule_is_the_caps_own_tuple(self, log_z, log_d, log_lam, log_pmax):
+        # Over the whole double range, each kernel's capped schedule is
+        # (t_min, p_max, t_min*(lam + p_max), True), t_min the cap duration
+        # as that kernel forms it: D*ln2/log1p(p_max/z), with ln p_max - ln z
+        # for the rate where p_max/z overflows, and D*ln2*z/p_max where it is
+        # below the normal doubles.
+        zs = 10.0 ** np.array(log_z)
+        d, lam, p_max = 10.0**log_d, 10.0**log_lam, 10.0**log_pmax
+        scalar = {}
+        for z in zs.tolist():
+            pz = p_max / z
+            if pz < kernel._TINY:
+                t_min = float(kernel._linear_cap_duration(d, z, p_max))
+            else:
+                t_min = d * _LN2 / (math.log1p(pz) if pz < math.inf else math.log(p_max) - math.log(z))
+            scalar[z] = _tuple_or_error(kernel.schedule, z, d, lam, p_max), t_min
+        with np.errstate(divide="ignore", over="ignore"):
+            pz = p_max / zs
+            rate = np.where(pz < math.inf, np.log1p(pz), np.log(p_max) - np.log(zs))
+            t_min = np.where(pz < kernel._TINY, kernel._linear_cap_duration(d, zs, p_max), d * _LN2 / rate)
+        got = _tuple_or_error(kernel.schedules, zs, d, lam, p_max)
+        array = zip(zip(*(a.tolist() for a in got)), t_min.tolist()) if len(got) == 4 else []
+        for sol, t in [*scalar.values(), *array]:
+            if len(sol) == 4 and sol[3]:
+                assert sol == (t, p_max, t * (lam + p_max), True), (sol, t)
 
     def test_elements_do_not_depend_on_their_neighbours(self):
         zs = 10.0 ** np.random.default_rng(4).uniform(-8.0, 8.0, 1000)
@@ -676,16 +749,17 @@ class TestInverseContract:
             z_of_value(u, params)
         assert str(err.value) == message
 
-    def test_value_whose_rate_equation_underflows_takes_the_cap_like_value_of_z(self):
-        # D*ln2*lambda/u underflows to 0 and s with it, so the cap's z is
-        # taken. value_of_z takes the cap there too, since lambda/z
-        # underflows at that z, and gives u back.
+    def test_value_whose_rate_equation_underflows_is_interior_like_value_of_z(self):
+        # D*ln2*lambda/u underflows to 0, and s = sqrt(2*D*ln2*lambda/u) is
+        # formed without it: the interior power, 1.8e-61 W, is within the
+        # cap. value_of_z's schedule at that z, where lambda/z underflows,
+        # is interior too, and gives u back.
         params = SystemParams(lambda_w=1e-300, p_max_w=1e-6, d_bits_per_hz=8.0)
         u = 8.656520431289855e178
         assert 8.0 * LN2 * params.lambda_w / u == 0.0
         z = z_of_value(u, params)
         assert params.lambda_w / z == 0.0
-        assert optimal_schedule(z, params).constraint_active
+        assert not optimal_schedule(z, params).constraint_active
         assert _within_contract(z, u, params)
 
     def test_capped_value_whose_rate_equation_underflows_is_solved(self):
@@ -696,14 +770,17 @@ class TestInverseContract:
         assert optimal_schedule(z, params).constraint_active
         assert _within_contract(z, u, params)
 
-    def test_interior_value_whose_rate_equation_underflows_is_unresolvable(self):
-        # D*ln2*lambda/u underflows, but lambda/z does not at the cap's z,
-        # and the interior power (0.044 W) is far within the cap: no z gives
-        # u back through value_of_z.
+    def test_interior_value_whose_rate_equation_underflows_is_solved(self):
+        # D*ln2*lambda/u underflows, and the interior power (0.044 W) is far
+        # within the cap: the channel of
+        # TestOptimalSchedule.test_interior_schedule_where_lam_over_z_underflows,
+        # whose cost this is, where the cap's z used to be taken.
         params = SystemParams(lambda_w=1e-300, p_max_w=1e300, d_bits_per_hz=1e-3)
-        with pytest.raises(ConvergenceError) as err:
-            z_of_value(6.832607387157713e293, params)
-        assert str(err.value) == "cannot resolve value 6.832607387157713e+293: D*ln2*lambda/u underflows"
+        u = 6.832607387157713e293
+        z = z_of_value(u, params)
+        assert z == pytest.approx(9.857368793793729e296, rel=1e-12)
+        assert not optimal_schedule(z, params).constraint_active
+        assert _within_contract(z, u, params)
 
     @pytest.mark.parametrize("log_z", [-138.0, -200.0, -280.0])
     def test_channel_past_an_underflowing_factor_is_found(self, log_z):
