@@ -1,12 +1,16 @@
-"""The transmit-schedule kernel: the package's only one.
+"""The transmit-schedule kernel: the package's only one, and the one home
+of the value map and its inverse.
 
 The hot entry points are ``lambert_w0``, ``schedule`` (closed-form optimum
-for one effective channel), ``value`` (its cost) and ``rate_of_value``
-(the interior schedule's rate at a given cost, for ``schedule.z_of_value``,
-the inverse of ``value``). ``schedule`` decides whether the power cap
-binds with one comparison, and solves Lambert W only where it does not.
-``rate_of_value`` solves no Lambert W: it takes the rate from an equation
-of its own, well conditioned where W0 next to its branch point is not.
+for one effective channel), ``value`` (its cost) and ``z_of_value`` (the
+inverse of ``value``, which MSPOA's payment takes), with
+``rate_of_value`` (the interior schedule's rate at a given cost) beneath
+it. Each takes the physics only, z or u with D, lambda and p_max; the
+module ``relayauction.schedule`` wraps each for ``SystemParams`` and
+checks its inputs. ``schedule`` decides whether the power cap binds with
+one comparison, and solves Lambert W only where it does not. ``z_of_value``
+solves no Lambert W: ``rate_of_value`` takes the rate from an equation of
+its own, well conditioned where W0 next to its branch point is not.
 
 ``schedules`` and ``min_powers`` are their numpy twins over an array of
 channels, for the sweep's chunks: the same rules, element by element. They
@@ -32,8 +36,9 @@ _E = 2.718281828459045
 _NEG_INV_E = -0.36787944117144233
 _LN2 = 0.6931471805599453
 _INV_E = 0.36787944117144233
-# The least positive normal double.
+# The least positive normal double, and the log of the largest double.
 _TINY = 2.2250738585072014e-308
+_LOG_HUGE = 709.782712893384
 # W0 about its branch point: -1 + p + _SERIES_C2*p^2 + _SERIES_C3*p^3 with
 # p = sqrt(2(e*x + 1)) (Corless et al., "On the Lambert W function", Adv.
 # Comput. Math. 1996). Below -1/e + _SERIES_DX it is the answer, because
@@ -229,7 +234,7 @@ def rate_of_value(b):
     """The s >= 0 with s + expm1(-s) = b, for b >= 0, to within a few ulps.
 
     This is the interior schedule's rate s = d*ln2/t at cost u, with
-    b = d*ln2*lam/u (see ``schedule.z_of_value``); s = a + W0(-e^-a) with
+    b = d*ln2*lam/u (see ``z_of_value``); s = a + W0(-e^-a) with
     a = 1 + b, but without the cancellation of W0 next to its branch point.
     Halley steps from the closer of two guesses, on s + expm1(-s) - b taken
     from its series where the sum cancels, stop on the step size.
@@ -258,6 +263,49 @@ def rate_of_value(b):
         if abs(step) <= _RATE_STEP * s:
             break
     return s
+
+
+def z_of_value(u, d, lam, p_max):
+    """The channel z with ``value(z, d, lam, p_max) == u``, for u > 0.
+
+    Off the cap v = D*ln2*z*e^s with s = D*ln2/t the schedule's rate;
+    eliminating z leaves s + expm1(-s) = b, b = D*ln2*lambda/u, which
+    ``rate_of_value`` solves by Halley steps to within 4 ulps (W0 would
+    give s = a + W0(-e^-a), a = 1 + b, with a cancellation next to the
+    branch point). Then z = u*e^-s/(D*ln2), unless the power
+    -expm1(-s)*u/(D*ln2) exceeds p_max; the cap binds then, and
+    z = p_max/expm1(D*ln2*(lambda + p_max)/u). z is within 3*(1 + r)*2^-52
+    of the exact inverse, relative, where r is the rate (s, or the cap's
+    D*ln2*(lambda + p_max)/u): the inputs' own rounding moves z by about
+    r*2^-52. Where b is below the normal doubles it has lost bits, and s is
+    sqrt(2b) formed without the underflow, as ``schedule`` forms its series
+    where lambda/z is.
+
+    Raises ValueError when z is not a positive normal double, and
+    ConvergenceError where ``value`` cannot resolve u: the schedule at z has
+    a rate D*ln2/t below the normal doubles or a duration that overflows.
+    Both name u.
+    """
+    k = d * _LN2
+    b = k * lam / u
+    s = rate_of_value(b) if b >= _TINY else math.sqrt(2.0 * lam) * math.sqrt(k) / math.sqrt(u)
+    if s > 0.0 and -math.expm1(-s) * u / k <= p_max:
+        num, rate, den = u, s, k
+    else:
+        rate = k * (lam + p_max) / u
+        num, den = p_max, -math.expm1(-rate)
+    z = num * math.exp(-rate) / den if den > 0.0 else math.inf
+    if not _TINY <= z < math.inf and den > 0.0:
+        # A factor left the doubles on the way; its logarithm does not.
+        log_z = math.log(num) - rate - math.log(den)
+        z = math.exp(log_z) if log_z < _LOG_HUGE else math.inf
+    if not _TINY <= z < math.inf:
+        raise ValueError(f"no effective channel in the normal doubles has value {u!r}")
+    if not rate >= _TINY:
+        raise ConvergenceError(f"cannot resolve value {u!r}: its schedule's rate D*ln2/t = {rate!r} underflows")
+    if not k / rate < math.inf:
+        raise ConvergenceError(f"cannot resolve value {u!r}: its schedule's duration overflows")
+    return z
 
 
 def min_powers(t, z, d):

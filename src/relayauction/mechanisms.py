@@ -409,7 +409,6 @@ def sample_deviations(
     params: SystemParams,
     k: int,
     rng: np.random.Generator,
-    witness_eps1: float | None = None,
     bidder: int = 1,
 ) -> list[Bid]:
     """k alternative bids for a candidate whose true channel is z.
@@ -417,12 +416,12 @@ def sample_deviations(
     Mixes on-manifold bids for misreported channels (log-uniform around z,
     clamped into the positive finite doubles), off-manifold
     log-perturbations of the truthful bid (power clipped to the cap), and
-    the eps1/eps2 witness when its precondition 0 < eps1 < z holds and it
-    does not overflow. witness_eps1 defaults to z/4.
+    the eps1/eps2 witness at eps1 = z/4 when that is positive (z/4 of the
+    least subnormals is 0) and the witness does not overflow.
     """
     if k < 1:
         raise ValueError("need k >= 1 deviations")
-    eps1 = z / 4.0 if witness_eps1 is None else witness_eps1
+    eps1 = z / 4.0
     witness = []
     if 0.0 < eps1 < z:
         try:

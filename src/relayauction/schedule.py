@@ -8,29 +8,31 @@ moving D bits/Hz in time t at the break-even power (2^(D/t)-1)*z is
 convex in t. ``optimal_schedule`` returns its closed-form minimizer subject
 to the transmit-power cap, ``value_of_z`` the optimal cost (strictly
 increasing in z), and ``z_of_value`` the inverse of that map.
+
+These are typed wrappers: each checks its inputs and calls ``kernel``,
+where all of the schedule math lives, on ``SystemParams``' physics.
+``SystemParams`` takes only a D whose D*ln2 is a normal double, since
+every duration is D*ln2 over a rate.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
 from .jsonio import check_fields, frozen_record
-from .kernel import _LN2, _TINY
-from .numerics import ConvergenceError
-
-# The log of the largest double.
-_LOG_HUGE = 709.782712893384
 
 
 @dataclass(frozen=True)
 class SystemParams:
     """Global constants shared by every computation.
 
-    d_bits_per_hz: bandwidth-normalized data volume.
+    d_bits_per_hz: bandwidth-normalized data volume, with D*ln2 a normal
+        double (D >= 3.2101030212800104e-308).
     lambda_w: delay power, the weight converting duration into cost.
     p_max_w: transmit power cap for the source and every candidate.
     sigma2_w: receiver noise power.
@@ -51,6 +53,9 @@ class SystemParams:
         for name in ("d_bits_per_hz", "lambda_w", "p_max_w", "sigma2_w", "a_r_m2", "alpha"):
             if not getattr(self, name) > 0.0:
                 problems.append(f"{name} must be strictly positive")
+        if 0.0 < self.d_bits_per_hz and not self.d_bits_per_hz * math.log(2.0) >= sys.float_info.min:
+            # Every duration is D*ln2 over a rate: a subnormal D*ln2 has lost bits.
+            problems.append("d_bits_per_hz must be at least 3.2101030212800104e-308, so that D*ln2 is a normal double")
         if self.alpha > 1.0:
             problems.append("alpha must not exceed 1")
         if problems:
@@ -131,48 +136,17 @@ def z_of_value(u: float, params: SystemParams) -> float:
     """Inverse of ``value_of_z``: the z whose optimal cost equals u, to
     ``|value_of_z(z) - u| <= max(abs_tol, rel_tol*u)`` of ``DEFAULT_TOL``.
 
-    Off the cap v = D*ln2*z*e^s with s = D*ln2/t the schedule's rate;
-    eliminating z leaves s + expm1(-s) = b, b = D*ln2*lambda/u, which
-    ``kernel.rate_of_value`` solves by Halley steps to within 4 ulps (W0
-    would give s = a + W0(-e^-a), a = 1 + b, with a cancellation next to
-    the branch point). Then z = u*e^-s/(D*ln2), unless the power
-    -expm1(-s)*u/(D*ln2) exceeds p_max; the cap binds then, and
-    z = p_max/expm1(D*ln2*(lambda + p_max)/u). z is within 3*(1 + r)*2^-52
-    of the exact inverse, relative, where r is the rate (s, or the cap's
-    D*ln2*(lambda + p_max)/u): the inputs' own rounding moves z by about
-    r*2^-52. value_of_z(z) then meets u to about 1e-12, the limit of its
-    own Lambert tolerance.
-
-    Where b is below the normal doubles it has lost bits, and s is
-    sqrt(2b) formed without the underflow, as the kernel forms its series
-    where lambda/z is. Raises ValueError when z is not a positive normal
-    double, and ConvergenceError where value_of_z cannot resolve u: the
-    schedule at z has a rate D*ln2/t below the normal doubles or a duration
-    that overflows. Both name u.
+    ``kernel.z_of_value`` takes z in closed form from the schedule's rate
+    (its docstring has the derivation), to within 3*(1 + r)*2^-52 of the
+    exact inverse with r that rate; value_of_z(z) then meets u to about
+    1e-12, the limit of its own Lambert tolerance. Raises ValueError when
+    z is not a positive normal double, and ConvergenceError where
+    value_of_z cannot resolve u: the schedule at z has a rate D*ln2/t
+    below the normal doubles or a duration that overflows. Both name u.
     """
     if not 0.0 < u < math.inf:
         raise ValueError(f"value must be strictly positive and finite, got {u!r}")
-    d, lam, p_max = params.d_bits_per_hz, params.lambda_w, params.p_max_w
-    k = d * _LN2
-    b = k * lam / u
-    s = kernel.rate_of_value(b) if b >= _TINY else math.sqrt(2.0 * lam) * math.sqrt(k) / math.sqrt(u)
-    if s > 0.0 and -math.expm1(-s) * u / k <= p_max:
-        num, rate, den = u, s, k
-    else:
-        rate = k * (lam + p_max) / u
-        num, den = p_max, -math.expm1(-rate)
-    z = num * math.exp(-rate) / den if den > 0.0 else math.inf
-    if not _TINY <= z < math.inf and den > 0.0:
-        # A factor left the doubles on the way; its logarithm does not.
-        log_z = math.log(num) - rate - math.log(den)
-        z = math.exp(log_z) if log_z < _LOG_HUGE else math.inf
-    if not _TINY <= z < math.inf:
-        raise ValueError(f"no effective channel in the normal doubles has value {u!r}")
-    if not rate >= _TINY:
-        raise ConvergenceError(f"cannot resolve value {u!r}: its schedule's rate D*ln2/t = {rate!r} underflows")
-    if not k / rate < math.inf:
-        raise ConvergenceError(f"cannot resolve value {u!r}: its schedule's duration overflows")
-    return z
+    return kernel.z_of_value(u, params.d_bits_per_hz, params.lambda_w, params.p_max_w)
 
 
 def _check_z(z: float) -> None:

@@ -32,8 +32,8 @@ from .mechanisms import (
     truthful_profile,
     StrategyProfile,
 )
-from .montecarlo import SweepConfig, render_csv, run_sweep
-from .kernel import _NEG_INV_E, CAP_TIE_REL, lambert_w0
+from .montecarlo import SweepConfig, _chunk_channels, render_csv, run_sweep
+from .kernel import CAP_TIE_REL, lambert_w0
 from .numerics import ToleranceSpec, minimize_unimodal, solve_increasing
 from .scenario import ChannelConfig, GeometryConfig, ScenarioInstance, sample_instance
 from .schedule import (
@@ -41,6 +41,7 @@ from .schedule import (
     cost_function,
     min_total_power,
     optimal_schedule,
+    optimal_schedules,
     value_of_z,
     z_of_value,
 )
@@ -120,10 +121,11 @@ def check_oracle_equivalence(n_z: int = 200) -> CheckResult:
 
 def check_lambert_residuals(n: int = 1000) -> CheckResult:
     t0 = time.perf_counter()
+    neg_inv_e = -math.exp(-1.0)
     rng = np.random.default_rng(1848)
-    offsets = 10.0 ** rng.uniform(-9.0, math.log10(1e6 - _NEG_INV_E), size=n - 8)
-    xs = list(_NEG_INV_E + offsets)
-    xs += [_NEG_INV_E, _NEG_INV_E + 1e-12, _NEG_INV_E + 1e-9, _NEG_INV_E + 1e-7, 0.0, 1.0, 2.718281828459045, 1e6]
+    offsets = 10.0 ** rng.uniform(-9.0, math.log10(1e6 - neg_inv_e), size=n - 8)
+    xs = list(neg_inv_e + offsets)
+    xs += [neg_inv_e, neg_inv_e + 1e-12, neg_inv_e + 1e-9, neg_inv_e + 1e-7, 0.0, 1.0, 2.718281828459045, 1e6]
     worst = 0.0
     for x in xs:
         w = lambert_w0(float(x))
@@ -406,6 +408,30 @@ def check_tie_break() -> CheckResult:
     return _result("tie-break", t0, not problems, detail)
 
 
+def _candidate_wins(mechanisms, instances: int):
+    # Every candidate win under each of the mechanisms ("spoa", "mspoa"),
+    # from the scalar rule and from settle, on the MSPOA fuzz's instances
+    # with arbitrary opponents and on the tie-break's tied profiles:
+    # (path, winner, paid t, paid p, net energy, instance, params, profile).
+    cases = []
+    for k in range(instances):
+        inst, params, rng, focal = _fuzz_setup(k, 97)
+        cases.append((inst, params, _arbitrary_opponents(inst, params, rng, focal)))
+    cases += [case[:3] for case in _tie_profiles()]
+    rules = {"spoa": run_spoa, "mspoa": run_mspoa}
+    for inst, params, profile in cases:
+        winner, settled = _settle_profile(mechanisms, profile, inst, params)
+        for mech, (pt, pp, net) in zip(mechanisms, settled):
+            out = rules[mech](profile, inst, params)
+            paths = (
+                (rules[mech].__name__, out.winner, out.payment_t_s, out.payment_p_w, out.winner_net_energy_j),
+                (f"settle {mech}", int(winner[0]), float(pt[0]), float(pp[0]), float(net[0])),
+            )
+            for path, w, t, p, e in paths:
+                if w != SOURCE:
+                    yield path, w, t, p, e, inst, params, profile
+
+
 # check_net_energy's bound, in ulps of t*alpha_tilde*max(p, p_even).
 NET_ULPS = 4
 
@@ -420,42 +446,96 @@ def check_net_energy(instances: int = 1000) -> CheckResult:
     arbitrary opponents, where SPOA pays off-manifold bids, and on the
     tie-break's tied profiles, where a winner is paid its own schedule."""
     t0 = time.perf_counter()
-    cases = []
-    for k in range(instances):
-        inst, params, rng, focal = _fuzz_setup(k, 97)
-        cases.append((inst, params, _arbitrary_opponents(inst, params, rng, focal)))
-    cases += [case[:3] for case in _tie_profiles()]
     problems = []
     wins = ties = 0
     worst = 0.0
-    for inst, params, profile in cases:
-        winner, settled = _settle_profile(("spoa", "mspoa"), profile, inst, params)
-        for rule, (pt, pp, net) in zip((run_spoa, run_mspoa), settled):
-            out = rule(profile, inst, params)
-            paths = (
-                (rule.__name__, out.winner, out.payment_t_s, out.payment_p_w, out.winner_net_energy_j),
-                (f"settle {rule.__name__[4:]}", int(winner[0]), float(pt[0]), float(pp[0]), float(net[0])),
-            )
-            for path, w, t, p, e in paths:
-                if w == SOURCE:
-                    continue
-                wins += 1
-                z_w, alpha = inst.z_w.item(w - 1), inst.alpha_tilde.item(w - 1)
-                gap = p - math.expm1(params.d_bits_per_hz * math.log(2.0) / t) * z_w
-                if abs(gap) <= CAP_TIE_REL * p:
-                    ties += 1
-                    want, ok = 0.0, e == 0.0
-                else:
-                    want = t * alpha * gap
-                    ulps = abs(e - want) / (2.0**-52 * t * alpha * max(p, p - gap))
-                    worst = max(worst, ulps)
-                    ok = ulps <= NET_ULPS
-                if not ok:
-                    problems.append(f"{path} winner {w} nets {e!r} J, recomputed {want!r} J")
+    for path, w, t, p, e, inst, params, _ in _candidate_wins(("spoa", "mspoa"), instances):
+        wins += 1
+        z_w, alpha = inst.z_w.item(w - 1), inst.alpha_tilde.item(w - 1)
+        gap = p - math.expm1(params.d_bits_per_hz * math.log(2.0) / t) * z_w
+        if abs(gap) <= CAP_TIE_REL * p:
+            ties += 1
+            want, ok = 0.0, e == 0.0
+        else:
+            want = t * alpha * gap
+            ulps = abs(e - want) / (2.0**-52 * t * alpha * max(p, p - gap))
+            worst = max(worst, ulps)
+            ok = ulps <= NET_ULPS
+        if not ok:
+            problems.append(f"{path} winner {w} nets {e!r} J, recomputed {want!r} J")
     detail = "; ".join(problems[:3]) if problems else (
         f"{wins} wins ({ties} break-even) net their recomputed energy, worst {worst:.2f} ulps"
     )
     return _result("net-energy", t0, not problems, detail)
+
+
+# check_manifold's bound, in ulps of the runner-up's score.
+MANIFOLD_ULPS = 4
+
+
+def check_manifold(instances: int = 1000) -> CheckResult:
+    """Every MSPOA candidate win is paid a schedule that costs the
+    runner-up's score u, the profile's second-lowest: t*(lambda + p) from
+    the paid (t, p) is within MANIFOLD_ULPS ulps of u. This is the
+    second-preferred-offer manifold (Che, RAND J. Econ. 1993), which makes
+    truthful bidding dominant. Held for ``run_mspoa`` and ``settle`` on
+    ``check_net_energy``'s cases."""
+    t0 = time.perf_counter()
+    problems = []
+    wins = 0
+    worst = 0.0
+    for path, w, t, p, _, _, params, profile in _candidate_wins(("mspoa",), instances):
+        wins += 1
+        lam = params.lambda_w
+        u = sorted(b.t_s * (lam + b.p_tot_w) for b in profile.bids)[1]
+        cost = t * (lam + p)
+        ulps = abs(cost - u) / (2.0**-52 * u)
+        worst = max(worst, ulps)
+        if not ulps <= MANIFOLD_ULPS:
+            problems.append(f"{path} winner {w} paid a schedule costing {cost!r}, the runner-up scored {u!r}")
+    detail = "; ".join(problems[:3]) if problems else (
+        f"{wins} MSPOA wins cost the runner-up's score, worst {worst:.2f} ulps"
+    )
+    return _result("payment-manifold", t0, not problems, detail)
+
+
+# check_equivalence's bounds, in ulps of SPOA's paid duration and power.
+EQUIVALENCE_T_ULPS = 8
+EQUIVALENCE_P_ULPS = 16
+
+
+def check_equivalence(trials: int = 1024) -> CheckResult:
+    """On truthful profiles MSPOA pays what SPOA pays: the runner-up bids
+    its own optimal schedule, which is the schedule on the manifold at its
+    score. Each MSPOA candidate win that ``settle`` pays on the default
+    grid's truthful chunks (``trials`` trials per n) is SPOA's (t, p) to
+    within EQUIVALENCE_T_ULPS and EQUIVALENCE_P_ULPS ulps. The bids come
+    from the array kernel and the MSPOA payment from the scalar one, so
+    this also holds the two to each other at the payments."""
+    t0 = time.perf_counter()
+    cfg = SweepConfig()
+    geom, chan, params = GeometryConfig(), ChannelConfig(), SystemParams()
+    problems = []
+    wins = 0
+    worst_t = worst_p = 0.0
+    for n in cfg.n_values:
+        z, alpha_tilde = _chunk_channels(cfg.seed, n, 0, trials, geom, chan, params)
+        for lam in cfg.lambda_values_w:
+            cell = replace(params, lambda_w=lam)
+            t, p, _, _ = optimal_schedules(z, cell)
+            winner, [(st, sp, _), (mt, mp, _)] = settle(("spoa", "mspoa"), t, p, z, alpha_tilde, cell)
+            relay = winner != SOURCE
+            wins += int(relay.sum())
+            ulps_t = np.abs(mt - st)[relay] / (2.0**-52 * st[relay])
+            ulps_p = np.abs(mp - sp)[relay] / (2.0**-52 * sp[relay])
+            worst_t = max(worst_t, float(ulps_t.max(initial=0.0)))
+            worst_p = max(worst_p, float(ulps_p.max(initial=0.0)))
+            if not (ulps_t <= EQUIVALENCE_T_ULPS).all() or not (ulps_p <= EQUIVALENCE_P_ULPS).all():
+                problems.append(f"n={n} lam={lam}: MSPOA pays SPOA's schedule to {ulps_t.max():.1f}/{ulps_p.max():.1f} ulps")
+    detail = "; ".join(problems[:3]) if problems else (
+        f"{wins} truthful MSPOA wins pay SPOA's schedule, worst {worst_t:.2f} ulps in t, {worst_p:.2f} in p"
+    )
+    return _result("payment-equivalence", t0, not problems, detail)
 
 
 def check_break_even(trials: int = 2000) -> CheckResult:
@@ -593,6 +673,8 @@ CHECKS = (
     (check_non_ic_demo, {}),
     (check_tie_break, {}),
     (check_net_energy, {"instances": 100}),
+    (check_manifold, {"instances": 100}),
+    (check_equivalence, {"trials": 64}),
     (check_break_even, {"trials": 200}),
     (check_trends, None),
     (check_reproducibility, {"trials": 40}),

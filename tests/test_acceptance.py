@@ -79,3 +79,16 @@ def test_criterion_10_net_energy():
     # t*alpha_tilde*(p - (2^(D/t) - 1)*z_w) recomputed to 4 ulps of
     # t*alpha_tilde*max(p, p_even), and exactly 0 J within the cap tie.
     _report(10, verify.check_net_energy(instances=1000))
+
+
+def test_criterion_11_payment_manifold():
+    # The same cases: every MSPOA candidate win, from run_mspoa and from
+    # settle, is paid a schedule costing t*(lambda + p) within 4 ulps of the
+    # runner-up's score.
+    _report(11, verify.check_manifold(instances=1000))
+
+
+def test_criterion_12_payment_equivalence():
+    # Truthful default-grid chunks, 1024 trials per n: each MSPOA candidate
+    # win that settle pays is SPOA's (t, p) to 8 ulps in t and 16 in p.
+    _report(12, verify.check_equivalence(trials=1024))

@@ -52,25 +52,52 @@ def test_one_function_assembles_scenario_instances():
     assert builders == ["_instance"]
 
 
-def test_the_power_rule_stays_in_the_kernel():
-    # kernel.min_power is the one scalar rule for (2^(D/t) - 1)*z: mechanisms
-    # neither borrows the kernel's private constants nor takes expm1 or a
-    # power itself. The one power it keeps is 10.0**u, the log-uniform
-    # factor of a misreported channel.
-    tree = _trees()["mechanisms"]
-    private = [
-        alias.name
+def test_no_module_borrows_the_kernels_private_names():
+    # kernel is the one home of the schedule math: no other module imports
+    # its private names or looks them up on it.
+    borrowed = [
+        (name, node.lineno)
+        for name, tree in _trees().items()
+        if name != "kernel"
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "kernel"
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
-    private += [
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "kernel"
+        and any(alias.name.startswith("_") for alias in node.names)
+        or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "kernel"
         and node.attr.startswith("_")
     ]
+    assert borrowed == []
+
+
+def test_schedule_keeps_no_schedule_math():
+    # kernel is the one home of the value map and its inverse: schedule
+    # checks its inputs and calls the kernel, and calls a math function only
+    # in its input checks, SystemParams.__post_init__ and _check_z.
+    tree = _trees()["schedule"]
+    checks = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              and node.name in ("__post_init__", "_check_z")]
+    assert len(checks) == 2
+    in_checks = {id(node) for check in checks for node in ast.walk(check)}
+    math_calls = [
+        (node.func.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "math" and id(node) not in in_checks
+    ]
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "math"
+        for alias in node.names
+    ]
+    assert math_calls == []
+    assert imported == []
+
+
+def test_the_power_rule_stays_in_the_kernel():
+    # kernel.min_power is the one scalar rule for (2^(D/t) - 1)*z: mechanisms
+    # takes neither expm1 nor a power itself. The one power it keeps is
+    # 10.0**u, the log-uniform factor of a misreported channel.
+    tree = _trees()["mechanisms"]
     expm1 = [
         node.lineno
         for node in ast.walk(tree)
@@ -83,7 +110,6 @@ def test_the_power_rule_stays_in_the_kernel():
         or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
         and not (isinstance(node.left, ast.Constant) and node.left.value == 10.0)
     ]
-    assert private == []
     assert expm1 == []
     assert powers == []
 

@@ -16,10 +16,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import relayauction
 from relayauction.cli import main
 from relayauction.config import simd_targets
 
@@ -100,3 +104,35 @@ def test_the_bound_catches_a_planted_change():
     got = [dict(r) for r in want]
     got[0]["win_rate_source"] = repr(math.nextafter(float(got[0]["win_rate_source"]), 1.0))
     assert len(_mismatches(got, want)) == 1
+
+
+# NPY_DISABLE_CPU_FEATURES settings: numpy's default targets; power, expm1
+# and log1p moved to the baseline and exp to X86_V3; and all four on the
+# baseline. numpy ignores a feature the host lacks.
+SIMD_SETTINGS = ("", "AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 X86_V3")
+
+
+def test_sweep_under_each_simd_setting(tmp_path):
+    # A small sweep, run twice under each setting, each run in its own
+    # process: byte-identical within a setting, within the bound across.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sweep": {**CONFIG["sweep"], "trials": 32}}))
+    src = str(Path(relayauction.__file__).resolve().parents[1])
+    runs = []
+    for disabled in SIMD_SETTINGS:
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        for _ in range(2):
+            out = tmp_path / str(len(runs))
+            argv = [sys.executable, "-m", "relayauction.cli", "sweep", "--config", str(config), "--out", str(out)]
+            runs.append((disabled, out, subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)))
+    for _, _, proc in runs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err.decode()
+    written = [(disabled, [(out / name).read_bytes() for name in ("sweep.csv", "cells.json")])
+               for disabled, out, _ in runs]
+    for (disabled, first), (_, second) in zip(written[::2], written[1::2]):
+        assert first == second, disabled
+    want = _rows(written[0][1][0].decode())
+    for disabled, (sweep_csv, _) in written[2::2]:
+        assert _mismatches(_rows(sweep_csv.decode()), want) == [], disabled

@@ -83,18 +83,21 @@ def _oracle(z: float, params: SystemParams) -> float:
 # 1e-12, leaves it 1.1e-8 above.
 @example(z=1.0, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 1e-4, "lambda_w": sys.float_info.max})
 @example(z=1.0, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 1e-5})
-# The cap's duration D*ln2/log1p(p_max/z) underflows to 0: exit 2, where a
-# zero-duration schedule costing 0 was reported.
+# D*ln2 is subnormal, and every duration is D*ln2 over a rate: exit 1, a
+# config error. Before, the cap's duration underflowed to 0 here (exit 2),
+# and at z = 1e178, p_max = 1e-134 the cost was 1.42 times the model's,
+# from a D*ln2 rounded up from 3.47e-324 to 4.94e-324.
 @example(z=0.1, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 5e-324})
+@example(z=1e178, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 5e-324, "p_max_w": 1e-134})
 # D*ln2/t is subnormal where the oracle searches: min_power used to lose
 # that rate's bits, and the oracle then returned 2.8e140, below the
 # closed form's 1.2326093593162825e141, which no schedule beats.
 @example(z=10.0**158.25, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 1e-17, "lambda_w": 1e-166,
                                  "p_max_w": 1.0})
 # A capped schedule that its own duration does not price: the power at the
-# rounded cap duration passes the largest double (p_max is that double), or
-# the duration is the subnormal 5e-324. Exit 2, where a finite cost was
-# reported whose duration costs inf or half of it.
+# rounded cap duration passes the largest double (p_max is that double).
+# Exit 2, where a finite cost was reported whose duration costs inf. The
+# second, a subnormal cap duration at D = 5e-324, is now a config error.
 @example(z=1e74, values={**dict.fromkeys(SYSTEM_FLAGS), "lambda_w": 5e-324, "p_max_w": sys.float_info.max})
 @example(z=sys.float_info.max, values={**dict.fromkeys(SYSTEM_FLAGS), "d_bits_per_hz": 5e-324, "lambda_w": 1e-16,
                                        "p_max_w": sys.float_info.max})

@@ -35,6 +35,8 @@ from relayauction import (
     value_of_z,
 )
 from relayauction import mechanisms, verify
+from relayauction.jsonio import frozen_record
+from relayauction.kernel import ScheduleOverflow
 from relayauction.mechanisms import SOURCE, settle
 from relayauction.schedule import ScheduleSolution, optimal_schedules, z_of_value
 
@@ -420,13 +422,14 @@ class TestSampleDeviations:
             assert bid.p_tot_w == pytest.approx(sol.p_star_w, rel=1e-7)
 
     def test_witness_membership_follows_precondition(self, golden_params):
+        # The witness, at eps1 = z/4, is the last deviation where it exists;
+        # where its duration overflows, the k deviations are all others.
         rng = np.random.default_rng(6)
-        with_witness = sample_deviations(1.0, golden_params, 7, rng, witness_eps1=0.4)
-        expected = non_ic_witness(1.0, golden_params, 0.4)
-        assert with_witness[-1] == expected
-        without = sample_deviations(1.0, golden_params, 7, rng, witness_eps1=2.0)
-        assert len(without) == 7
-        assert all(b != expected for b in without)
+        assert sample_deviations(1.0, golden_params, 7, rng)[-1] == non_ic_witness(1.0, golden_params, 0.25)
+        z, params = 2.5108138099089954e307, SystemParams(lambda_w=0.1)
+        with pytest.raises(ScheduleOverflow):
+            non_ic_witness(z, params, z / 4.0)
+        assert len(sample_deviations(z, params, 7, rng)) == 7
 
     def test_requested_count(self, golden_params):
         rng = np.random.default_rng(8)
@@ -1049,3 +1052,18 @@ class TestRecordConstructors:
             cls()
         with pytest.raises(TypeError):
             cls(*[1.0] * n, no_such_field=1)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dataclasses.field(default_factory=list),
+            dataclasses.field(default=0.0, init=False),
+            dataclasses.field(default=0.0, kw_only=True),
+        ],
+        ids=["default-factory", "no-init", "kw-only"],
+    )
+    def test_a_field_that_is_not_plain_is_a_type_error(self, spec):
+        # The generated __init__ takes each field positionally, with its
+        # default if it has one; a field it cannot take so is refused.
+        with pytest.raises(TypeError, match=r"^Odd\.x: a record field takes a plain default or none$"):
+            frozen_record(type("Odd", (), {"__annotations__": {"x": float}, "x": spec}))

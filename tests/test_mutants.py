@@ -82,6 +82,8 @@ GATES = {
     "spoa-non-ic-witness": lambda _: verify.check_non_ic_demo().passed,
     "tie-break": lambda _: verify.check_tie_break().passed,
     "net-energy 100 instances": lambda _: verify.check_net_energy(100).passed,
+    "payment-manifold 100 instances": lambda _: verify.check_manifold(100).passed,
+    "payment-equivalence 64 trials": lambda _: verify.check_equivalence(64).passed,
     "break-even 200 trials": lambda _: verify.check_break_even(200).passed,
     "trend-reproduction 200 trials": lambda _: verify.check_trends(200, n_jobs=1).passed,
     "golden sweep": _golden_sweep,
@@ -100,6 +102,10 @@ CAUGHT = [
     ("tie-break-flipped", "tie-break"),
     # Below 1e-9 J (worst gain about 5e-13 J): the scale-aware count's catch.
     ("delta-leak-1e-6", "mspoa-incentive-compatibility-fuzz 10x10"),
+    # The leaked payment costs about 1e-6 less than the runner-up's score,
+    # and on truthful profiles it is that far from SPOA's, on any host.
+    ("delta-leak-1e-6", "payment-manifold 100 instances"),
+    ("delta-leak-1e-6", "payment-equivalence 64 trials"),
     # Wins that net far from break-even carry the bias past 4 ulps, on any host.
     ("net-energy-bias-1e-12", "net-energy 100 instances"),
     pytest.param("net-energy-bias-1e-12", "golden sweep",

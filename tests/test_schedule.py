@@ -33,7 +33,7 @@ from relayauction.kernel import (
 )
 from relayauction.numerics import DEFAULT_TOL
 from relayauction.schedule import optimal_schedules
-from relayauction.verify import _kink_z, oracle_schedule_cost, oracle_z_of_value
+from relayauction.verify import _kink_z, _oracle_bracket, oracle_schedule_cost, oracle_z_of_value
 
 LN2 = math.log(2.0)
 EPS = 2.0**-52
@@ -156,6 +156,18 @@ class TestOptimalSchedule:
         assert sol.cost_ws == pytest.approx(oracle, rel=1e-12)
         assert sol.constraint_active == (math.sqrt(2.0 * params.lambda_w * z) > params.p_max_w)
 
+    def test_oracle_bracket_grows_where_its_start_underflows(self):
+        # 10*D/lambda underflows to 0, so the oracle's bracket starts at
+        # max(100*D*ln2, 2*t_min), far short of the optimum, where the cost
+        # is 5e-3 above it: the end doubles while the cost falls, and the
+        # oracle's minimum is the closed form's.
+        z, d, lam, p_max = 1.1191193813590606e206, 8.992955202611508e-228, 4.789069621522326e138, 2.10326025164892e276
+        params = SystemParams(d_bits_per_hz=d, lambda_w=lam, p_max_w=p_max)
+        t_min, t_hi = _oracle_bracket(z, params)
+        assert 10.0 * d / lam == 0.0
+        assert t_hi > 1e3 * max(100.0 * d * LN2, 2.0 * t_min)
+        assert oracle_schedule_cost(z, params) == pytest.approx(optimal_schedule(z, params).cost_ws, rel=1e-12)
+
     @given(
         log_z=st.floats(-300.0, 300.0),
         log_lam=st.floats(-6.0, 6.0),
@@ -234,21 +246,27 @@ class TestOptimalSchedule:
     def test_underflowing_duration_is_a_convergence_error(self, z):
         # D*ln2/log1p(p_max/z) is below the least double: no zero-duration
         # schedule, from either kernel, and the same message from both.
-        params = SystemParams(d_bits_per_hz=5e-324)
+        # SystemParams takes no such D, but a direct kernel caller can.
         with pytest.raises(ConvergenceError, match="duration for z=.* underflows to 0") as scalar:
-            optimal_schedule(z, params)
+            kernel.schedule(z, 5e-324, 1.0, 1.0)
         with pytest.raises(ConvergenceError, match=f"^{re.escape(str(scalar.value))}$"):
-            optimal_schedules(np.array([z, z]), params)
+            kernel.schedules(np.array([z, z]), 5e-324, 1.0, 1.0)
 
     @pytest.mark.parametrize("z, d, lam, p_max", [(1.0, 5e-324, 1e3, 1.0), (1e-300, 1e-320, 1e3, 1.0)])
     def test_capped_schedule_its_duration_does_not_price_is_a_convergence_error(self, z, d, lam, p_max):
         # The cap's duration is subnormal, so the power it costs is not
-        # p_max: both kernels raise the same message.
-        params = SystemParams(d_bits_per_hz=d, lambda_w=lam, p_max_w=p_max)
+        # p_max: both kernels raise the same message. SystemParams takes no
+        # such D, but a direct kernel caller can.
         with pytest.raises(ConvergenceError, match=f"capped schedule for z={re.escape(repr(z))} is not priced") as scalar:
-            optimal_schedule(z, params)
+            kernel.schedule(z, d, lam, p_max)
         with pytest.raises(ConvergenceError, match=f"^{re.escape(str(scalar.value))}$"):
-            optimal_schedules(np.array([z, z]), params)
+            kernel.schedules(np.array([z, z]), d, lam, p_max)
+
+    @pytest.mark.parametrize("d", [5e-324, 1e-320, 3.21010302128001e-308])
+    def test_d_whose_d_ln2_is_subnormal_is_rejected(self, d):
+        with pytest.raises(ValueError, match="^d_bits_per_hz must be at least 3.2101030212800104e-308, so that"):
+            SystemParams(d_bits_per_hz=d)
+        assert SystemParams(d_bits_per_hz=3.2101030212800104e-308).d_bits_per_hz * LN2 == sys.float_info.min
 
     @pytest.mark.parametrize("kernel_call", [kernel.schedule, _array_schedule])
     def test_cap_where_p_max_over_z_is_below_the_normal_doubles(self, kernel_call):
@@ -499,6 +517,15 @@ class TestOverflowingLambdaOverZ:
 
 class TestArrayKernel:
     """``optimal_schedules`` against the scalar kernel, its reference."""
+
+    def test_lambert_solve_out_of_steps_is_a_convergence_error(self, monkeypatch):
+        # With a budget of one Halley step, the guess at z = 2 is not
+        # refined far enough: both kernels name the same argument.
+        monkeypatch.setattr(kernel, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="^lambert_w0 did not converge for x=") as scalar:
+            kernel.schedule(2.0, 8.0, 1.0, 10.0)
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(str(scalar.value))}$"):
+            kernel.schedules(np.array([2.0, 2.0]), 8.0, 1.0, 10.0)
 
     @given(
         log_z=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=40),
